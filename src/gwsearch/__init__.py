@@ -25,10 +25,9 @@ from .gwtree import (
     sample_unconditional,
     write_tree,
 )
-from .bdfs import BudgetedSearchOutput, bdfs, unexplored_of, write_records
+from .bdfs import BudgetedSearchOutput, bdfs, write_records
 from .scheduler import (
     POLICIES,
-    JobList,
     SearchStats,
     SimReport,
     run_adaptive,
@@ -62,7 +61,6 @@ __all__ = [
     "AttemptsExhausted",
     "BudgetedSearchOutput",
     "CriterionResult",
-    "JobList",
     "MuEstimate",
     "OffspringDistribution",
     "Overflow",
@@ -97,7 +95,6 @@ __all__ = [
     "substream",
     "tail_asymptotic",
     "theorem1_check",
-    "unexplored_of",
     "write_records",
     "write_sim_csv",
     "write_summary_csv",

@@ -44,11 +44,6 @@ class BudgetedSearchOutput:
         return [node for node, flag in self.records if flag]
 
 
-def unexplored_of(output: BudgetedSearchOutput) -> list:
-    """Flag-True node ids, in output order."""
-    return output.unexplored()
-
-
 def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
     """Run one budget-limited depth-first search and return its records.
 

@@ -29,6 +29,7 @@ import argparse
 import sys
 
 from . import analysis, gwtree, offspring, scheduler, verify
+from .scheduler import _fmt
 from .seeds import substream
 
 MC_STREAM_BASE = 1 << 32  # sweep estimator substreams live above the tree ones
@@ -47,12 +48,6 @@ def _budget_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("budget list is empty")
     return values
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
 
 
 def cmd_dist(args) -> int:

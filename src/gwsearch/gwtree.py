@@ -52,15 +52,22 @@ class Overflow:
     pending: int
 
 
+MAX_DEGREE = int(np.iinfo(np.int32).max)  # degrees are stored as int32
+
+
 class PreorderTree:
     """Immutable tree over a validated preorder degree sequence."""
 
     def __init__(self, degrees):
-        arr = np.ascontiguousarray(degrees, dtype=np.int32)
-        if arr.ndim != 1 or len(arr) == 0:
+        raw = np.asarray(degrees)
+        if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("degree sequence must be a non-empty 1-d array")
-        if arr.min() < 0:
+        # range-check before the int32 cast, which would wrap silently
+        if not (raw >= 0).all():  # also catches NaN
             raise ValueError("degrees must be >= 0")
+        if raw.max() > MAX_DEGREE:
+            raise ValueError(f"degrees must be <= {MAX_DEGREE}")
+        arr = np.ascontiguousarray(raw, dtype=np.int32)
         walk = 1 + np.cumsum(arr.astype(np.int64) - 1)
         if walk[-1] != 0:
             raise ValueError(
@@ -261,4 +268,6 @@ def read_tree(path) -> PreorderTree:
         degrees = np.array(tokens, dtype=np.int64)
     except ValueError:
         raise ValueError(f"{path}: degrees must be integers") from None
+    except OverflowError:
+        raise ValueError(f"{path}: degrees must be in [0, {MAX_DEGREE}]") from None
     return PreorderTree(degrees)

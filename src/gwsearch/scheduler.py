@@ -9,16 +9,15 @@ across the whole run, so evaluations always sum to n - 1.  R depends only on
 (tree, b): pop policy and worker count redistribute work without changing
 which subtree roots exceed the budget.
 
-Two interchangeable engines compute one search call:
-
-  * "extent": closed form on the preorder layout.  The explored prefix of a
-    call at s is the slots s+1 .. s+b-1; what remains of the subtree interval
-    is tiled left to right by the unexplored subtrees, so flag-True nodes
-    follow from repeated extent jumps.  O(restarts) per call.
-  * "oracle": drives the two-stack search through tree.adj, node by node.
-
-They produce identical statistics (property-tested); "extent" is the default
-because it makes million-node sweeps cheap.
+run_single and run_adaptive share one sequential master loop; a fixed
+budget is the adaptive loop with marks (0, inf).  Each search call is
+computed in closed form on the preorder layout: the explored prefix of a
+call at s is the slots s+1 .. s+b-1, and what remains of the subtree
+interval is tiled left to right by the unexplored subtrees, so flag-True
+nodes follow from repeated extent jumps, O(restarts) per call.
+run_single(engine="oracle") instead drives the two-stack search through
+tree.adj, node by node; it is the reference the closed form is tested
+against, call for call.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -32,6 +31,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bdfs import bdfs
 from .gwtree import PreorderTree
@@ -39,23 +39,12 @@ from .gwtree import PreorderTree
 POLICIES = ("lifo", "fifo")
 
 
-class JobList:
-    """Pending start vertices; lifo pops newest first, fifo oldest first."""
-
-    def __init__(self, policy: str = "lifo"):
-        if policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}")
-        self.policy = policy
-        self._items = deque()
-
-    def push(self, items) -> None:
-        self._items.extend(items)
-
-    def pop(self):
-        return self._items.pop() if self.policy == "lifo" else self._items.popleft()
-
-    def __len__(self):
-        return len(self._items)
+def _job_list(policy: str):
+    """A job list holding the root, and its pop for the given policy."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
+    jobs = deque((0,))
+    return jobs, jobs.pop if policy == "lifo" else jobs.popleft
 
 
 @dataclass
@@ -106,41 +95,53 @@ def _call_oracle(tree: PreorderTree, s: int, b: int):
     return result.generated, result.unexplored()
 
 
-def _make_call(tree: PreorderTree, engine: str):
-    if engine == "extent":
-        ext = tree.extent
-        return lambda s, b: _call_extent(ext, s, b)
-    if engine == "oracle":
-        return lambda s, b: _call_oracle(tree, s, b)
-    raise ValueError("engine must be 'extent' or 'oracle'")
+def _master_loop(tree: PreorderTree, budget: int, low_mark: float,
+                 high_mark: float, scale_factor: float, policy: str,
+                 call) -> SearchStats:
+    """Pop, search, push until the job list drains; see run_adaptive."""
+    jobs, pop = _job_list(policy)
+    restarts = evaluations = 0
+    sizes = []
+    budgets = []
+    while jobs:
+        pressure = len(jobs)
+        if pressure < low_mark:
+            budget = max(2, math.floor(budget / scale_factor))
+        elif pressure > high_mark:
+            budget = math.floor(budget * scale_factor)
+        s = pop()
+        sizes.append(pressure - 1)
+        budgets.append(budget)
+        generated, unexplored = call(s, budget)
+        evaluations += generated
+        restarts += len(unexplored)
+        jobs.extend(unexplored)
+    return SearchStats(n=tree.n, policy=policy, restarts=restarts,
+                       calls=len(sizes), evaluations=evaluations,
+                       list_sizes=sizes, budgets=budgets)
 
 
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo",
                engine: str = "extent") -> SearchStats:
-    """Run the master loop at a fixed budget until the job list drains."""
+    """Run the master loop at a fixed budget until the job list drains.
+
+    engine "extent" computes each call in closed form; "oracle" runs the
+    budgeted search itself over tree.adj, as a reference.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    call = _make_call(tree, engine)
-    jobs = JobList(policy)
-    jobs.push((0,))
-    restarts = calls = evaluations = 0
-    sizes = []
-    while len(jobs):
-        s = jobs.pop()
-        sizes.append(len(jobs))
-        generated, unexplored = call(s, budget)
-        calls += 1
-        evaluations += generated
-        restarts += len(unexplored)
-        jobs.push(unexplored)
-    return SearchStats(n=tree.n, policy=policy, restarts=restarts, calls=calls,
-                       evaluations=evaluations, list_sizes=sizes,
-                       budgets=[budget] * calls)
+    if engine == "extent":
+        call = partial(_call_extent, tree.extent)
+    elif engine == "oracle":
+        call = partial(_call_oracle, tree)
+    else:
+        raise ValueError("engine must be 'extent' or 'oracle'")
+    return _master_loop(tree, budget, 0, math.inf, 2, policy, call)
 
 
 def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
-                 high_mark: float, scale_factor: float, policy: str = "lifo",
-                 engine: str = "extent") -> SearchStats:
+                 high_mark: float, scale_factor: float,
+                 policy: str = "lifo") -> SearchStats:
     """Fixed-budget run, except the budget reacts to job-list pressure.
 
     The decision uses the list size as the master sees it when assigning
@@ -155,34 +156,12 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
         raise ValueError("need 0 <= low_mark < high_mark")
-    call = _make_call(tree, engine)
-    jobs = JobList(policy)
-    jobs.push((0,))
-    budget = initial_budget
-    restarts = calls = evaluations = 0
-    sizes = []
-    budgets = []
-    while len(jobs):
-        pressure = len(jobs)
-        if pressure < low_mark:
-            budget = max(2, math.floor(budget / scale_factor))
-        elif pressure > high_mark:
-            budget = math.floor(budget * scale_factor)
-        s = jobs.pop()
-        sizes.append(len(jobs))
-        budgets.append(budget)
-        generated, unexplored = call(s, budget)
-        calls += 1
-        evaluations += generated
-        restarts += len(unexplored)
-        jobs.push(unexplored)
-    return SearchStats(n=tree.n, policy=policy, restarts=restarts, calls=calls,
-                       evaluations=evaluations, list_sizes=sizes, budgets=budgets)
+    return _master_loop(tree, initial_budget, low_mark, high_mark, scale_factor,
+                        policy, partial(_call_extent, tree.extent))
 
 
 def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
-                      restart_cost=0, policy: str = "lifo",
-                      engine: str = "extent") -> SimReport:
+                      restart_cost=0, policy: str = "lifo") -> SimReport:
     """Discrete-event simulation of W workers sharing the job list.
 
     Each node evaluation takes one time unit and each job start costs
@@ -196,35 +175,41 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
         raise ValueError("budget must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if restart_cost < 0:
-        raise ValueError("restart_cost must be >= 0")
-    call = _make_call(tree, engine)
-    jobs = JobList(policy)
-    jobs.push((0,))
-    idle = list(range(workers))
-    heapq.heapify(idle)
-    busy = []  # (finish time, worker index, nodes to push on completion)
-    now = 0  # stays integral for integral restart costs
+    if not 0 <= restart_cost < math.inf:
+        raise ValueError("restart_cost must be >= 0 and finite")
+    ext = tree.extent
+    jobs, pop = _job_list(policy)
+    # A run has at most n jobs and the lowest idle index always goes first,
+    # so workers n, n+1, ... never start one: leave them out of the heap.
+    idle = list(range(min(workers, tree.n)))  # ascending, hence a heap
+    # An event time is units + starts * restart_cost, where units and starts
+    # count the evaluations and job starts on the chain of jobs behind it.
+    # Computing it afresh from those integers, rather than summing floats
+    # along the chain, keeps simultaneous events equal and the makespan
+    # within evaluations + restart_overhead for non-integral costs.
+    busy = []  # (finish time, worker index, units, starts, nodes to push)
+    now = units = starts = 0
     started = restarts = evaluations = 0
     while True:
-        while len(jobs) and idle:
+        while jobs and idle:
             w = heapq.heappop(idle)
-            s = jobs.pop()
-            generated, unexplored = call(s, budget)
+            generated, unexplored = _call_extent(ext, pop(), budget)
             started += 1
             evaluations += generated
             restarts += len(unexplored)
-            heapq.heappush(busy, (now + restart_cost + generated, w, unexplored))
+            u, k = units + generated, starts + 1
+            heapq.heappush(busy, (u + k * restart_cost, w, u, k, unexplored))
         if not busy:
             break
-        now = busy[0][0]
+        now, _, units, starts, _ = busy[0]
         while busy and busy[0][0] == now:
-            _, w, unexplored = heapq.heappop(busy)
-            jobs.push(unexplored)
+            _, w, _, _, unexplored = heapq.heappop(busy)
+            jobs.extend(unexplored)
             heapq.heappush(idle, w)
     makespan = now
     overhead = restart_cost * started
-    idle_time = workers * makespan - evaluations - overhead
+    idle_time = (workers * units - evaluations
+                 + (workers * starts - started) * restart_cost)
     speedup = evaluations / makespan if makespan > 0 else 1.0
     return SimReport(workers=workers, restart_cost=restart_cost, jobs=started,
                      restarts=restarts, evaluations=evaluations, makespan=makespan,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gwsearch.bdfs import bdfs, unexplored_of, write_records
+from gwsearch.bdfs import bdfs, write_records
 
 FALSE_PREFIX_13 = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 TRUE_SUFFIX_13 = [13, 15, 16, 18, 22]
@@ -16,7 +16,6 @@ def test_trace_budget_13(tree25):
     assert out.generated == 17
     assert out.explored == 12
     assert out.unexplored() == TRUE_SUFFIX_13
-    assert unexplored_of(out) == TRUE_SUFFIX_13
 
 
 def test_trace_budget_8(tree25):

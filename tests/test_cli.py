@@ -1,6 +1,5 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
-import os
 import pathlib
 import shutil
 import subprocess
@@ -8,7 +7,6 @@ import sys
 
 import pytest
 
-import gwsearch
 from gwsearch import cli
 
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
@@ -16,17 +14,6 @@ PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
 def run_cli(*argv):
     return cli.main(list(argv))
-
-
-def child_env():
-    """Environment for a child interpreter that imports the gwsearch under
-    test: the directory holding the imported package goes first on
-    PYTHONPATH, so no other installed copy is picked up."""
-    env = dict(os.environ)
-    root = str(pathlib.Path(gwsearch.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
-    return env
 
 
 def declared_script(name):
@@ -126,6 +113,11 @@ def test_search_malformed_tree(tmp_path, capsys):
     bad.write_text("abc\n0\n")
     assert run_cli("search", "--tree", str(bad), "--budget", "5") == 1
     assert "first line must be the node count" in capsys.readouterr().err
+    for degree, message in (("4294967298", "degrees must be <= 2147483647"),
+                            ("99999999999999999999", "degrees must be in [0, ")):
+        bad.write_text(f"3\n{degree} 0 0\n")
+        assert run_cli("search", "--tree", str(bad), "--budget", "5") == 1
+        assert message in capsys.readouterr().err
 
 
 def test_simulate(tree25_path, tmp_path, capsys):
@@ -142,6 +134,10 @@ def test_simulate(tree25_path, tmp_path, capsys):
     assert run_cli("simulate", "--tree", tree25_path, "--budget", "13",
                    "--workers", "2", "--restart-cost", "2") == 0
     assert "makespan=29" in capsys.readouterr().out
+    for cost in ("nan", "inf"):
+        assert run_cli("simulate", "--tree", tree25_path, "--budget", "13",
+                       "--restart-cost", cost) == 1
+        assert "restart_cost must be >= 0 and finite" in capsys.readouterr().err
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
@@ -188,23 +184,23 @@ def check_help(proc):
         assert name in proc.stdout
 
 
-def test_console_script_help():
+def test_console_script_help(child_env):
     # Call the declared target the way the setuptools wrapper does, so the
     # check needs no installed executable.
     module, attr = declared_script("gwsearch").split(":")
     code = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     check_help(subprocess.run([sys.executable, "-c", code, "--help"],
-                              capture_output=True, text=True, env=child_env()))
+                              capture_output=True, text=True, env=child_env))
     # Where the package is installed, the real wrapper must behave the same.
     path = shutil.which("gwsearch")
     if path:
         check_help(subprocess.run([path, "--help"], capture_output=True,
-                                  text=True, env=child_env()))
+                                  text=True, env=child_env))
 
 
-def test_module_entry_matches_script():
+def test_module_entry_matches_script(child_env):
     proc = subprocess.run([sys.executable, "-m", "gwsearch.cli",
                            "dist", "--dist", "catalan"],
-                          capture_output=True, text=True, env=child_env())
+                          capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("pmf: 0.25 0.5 0.25")

@@ -104,6 +104,8 @@ def test_invalid_degree_sequences():
         gwtree.PreorderTree([1, 0, 2, 0])
     with pytest.raises(ValueError, match="degrees must be >= 0"):
         gwtree.PreorderTree([3, -1, 0])
+    with pytest.raises(ValueError, match="degrees must be <= 2147483647"):
+        gwtree.PreorderTree(np.array([4294967298, 0, 0], dtype=np.int64))
     with pytest.raises(ValueError, match="non-empty"):
         gwtree.PreorderTree([])
     with pytest.raises(ValueError, match="non-empty"):
@@ -232,6 +234,10 @@ def test_read_tree_malformed(tmp_path):
     bad_token.write_text("2\n1 x\n")
     with pytest.raises(ValueError, match="degrees must be integers"):
         gwtree.read_tree(bad_token)
+    huge_token = tmp_path / "e.tree"
+    huge_token.write_text("3\n99999999999999999999 0 0\n")
+    with pytest.raises(ValueError, match=r"degrees must be in \[0, 2147483647\]"):
+        gwtree.read_tree(huge_token)
     bad_tree = tmp_path / "d.tree"
     bad_tree.write_text("2\n0 0\n")
     with pytest.raises(ValueError, match="not a tree"):

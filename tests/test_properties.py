@@ -48,7 +48,8 @@ def test_restarts_policy_and_engine_invariant(degrees, budget):
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30),
-       workers=st.integers(1, 4), cost=st.integers(0, 3))
+       workers=st.integers(1, 4),
+       cost=st.integers(0, 3) | st.floats(0, 5, allow_nan=False))
 @settings(max_examples=40, deadline=None)
 def test_simulation_matches_serial_counts(degrees, budget, workers, cost):
     tree = PreorderTree(degrees)

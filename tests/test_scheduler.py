@@ -5,20 +5,9 @@ import math
 import pytest
 
 from gwsearch import scheduler
-from gwsearch.scheduler import (JobList, run_adaptive, run_single,
-                                series_export, simulate_parallel,
-                                write_sim_csv, write_summary_csv)
-
-
-def test_job_list_policies():
-    lifo = JobList("lifo")
-    lifo.push([1, 2, 3])
-    assert [lifo.pop() for _ in range(3)] == [3, 2, 1]
-    fifo = JobList("fifo")
-    fifo.push([1, 2, 3])
-    assert [fifo.pop() for _ in range(3)] == [1, 2, 3]
-    with pytest.raises(ValueError, match="policy must be one of"):
-        JobList("random")
+from gwsearch.scheduler import (run_adaptive, run_single, series_export,
+                                simulate_parallel, write_sim_csv,
+                                write_summary_csv)
 
 
 def test_run_single_fixture(tree25):
@@ -59,6 +48,17 @@ def test_policies_and_engines_agree(tree25):
         fifo = run_single(tree25, b, policy="fifo")
         assert fifo.restarts == ext.restarts
         assert fifo.calls == ext.calls
+
+
+def test_pop_order(tree25):
+    # lifo pops the newest job, fifo the oldest; the list sizes show which
+    lifo = run_single(tree25, 2, policy="lifo")
+    fifo = run_single(tree25, 2, policy="fifo")
+    assert lifo.list_sizes == [0, 7, 7, 6, 7, 6, 5, 9, 8, 7, 7, 6, 5, 4, 3, 2, 1, 0]
+    assert fifo.list_sizes == [0, 7, 6, 5, 4, 3, 2, 6, 7, 7, 6, 5, 5, 4, 3, 2, 1, 0]
+    for b in (8, 13):  # every job after the first fits: the order cannot show
+        assert run_single(tree25, b, policy="lifo").list_sizes == \
+               run_single(tree25, b, policy="fifo").list_sizes
 
 
 def test_run_single_validation(tree25):
@@ -157,6 +157,13 @@ def test_simulate_work_conservation(tree25):
                 assert report.restarts == run_single(tree25, b).restarts
 
 
+def test_simulate_more_workers_than_nodes(tree25):
+    few = simulate_parallel(tree25, 13, 25, restart_cost=2)
+    many = simulate_parallel(tree25, 13, 10**6, restart_cost=2)
+    assert (many.jobs, many.makespan) == (few.jobs, few.makespan)
+    assert many.idle_time == 10**6 * many.makespan - 24 - many.restart_overhead
+
+
 def test_simulate_trivial_tree():
     from gwsearch.gwtree import PreorderTree
     report = simulate_parallel(PreorderTree([0]), 5, 3)
@@ -170,8 +177,9 @@ def test_simulate_validation(tree25):
         simulate_parallel(tree25, 0, 1)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         simulate_parallel(tree25, 13, 0)
-    with pytest.raises(ValueError, match="restart_cost must be >= 0"):
-        simulate_parallel(tree25, 13, 1, restart_cost=-1)
+    for cost in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="restart_cost must be >= 0 and finite"):
+            simulate_parallel(tree25, 13, 1, restart_cost=cost)
 
 
 def test_series_export(tree25, tmp_path):
