@@ -3,8 +3,9 @@
 P{N = t} comes out of (1) a truncated convolution DP built on the identity
 P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t, (2) brute-force enumeration of
 every ordered tree with at most 9 nodes, and (3) a histogram of sampled
-trees.  All three agree, and at large sizes the DP converges to the local
-limit d / (sigma sqrt(2 pi) t^(3/2)) -- the heavy tail that makes budgeted
+trees.  All three agree.  At large sizes the float law, computed by Newton
+iteration on T(x) = x f(T(x)), converges to the local limit
+d / (sigma sqrt(2 pi) t^(3/2)) -- the heavy tail that makes budgeted
 restarts necessary in the first place.
 """
 

@@ -3,9 +3,10 @@
 Everything here hangs off two identities for the total progeny N of a
 critical law with variance sigma^2 and span d:
 
-  * P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t   (random-walk hitting time),
-    evaluated exactly by an iterated convolution truncated at sums < t_max,
-    cost O(t_max^2 * max_degree);
+  * the progeny generating function T(x) = sum_t P{N = t} x^t solves
+    T(x) = x f(T(x)) with f the offspring pgf; Newton iteration on power
+    series doubles the number of correct coefficients per step, cost
+    O(max_degree * t_max log t_max) with FFT products;
   * E min(N, b) = sum_{t<=b} t P{N = t} + b P{N > b}, which for large b
     behaves like sqrt(8 b / (pi sigma^2)).
 
@@ -17,12 +18,13 @@ theorem1_check packages those two ratios for a finished run.
 Large-n size asymptotics: P{N = n} ~ d / (sigma sqrt(2 pi) n^{3/2}) on the
 lattice n = 1 mod d, and P{N >= n} ~ sqrt(2 / (pi n sigma^2)).
 
-The convolution DP and the brute-force tree enumeration double as
-independent oracles: the DP sums walk paths with no positivity constraint
-(the 1/t is the cycle-lemma correction), the enumeration multiplies pmf
-entries tree by tree.  Both run in exact rational arithmetic for builtins
-with rational pmfs, so agreement can be asserted with == rather than a
-tolerance.
+The rational convolution DP and the brute-force tree enumeration double as
+independent oracles for the float Newton path.  The DP uses the hitting-time
+identity P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t: it sums walk paths with
+no positivity constraint (the 1/t is the cycle-lemma correction); the
+enumeration multiplies pmf entries tree by tree.  Both run in exact rational
+arithmetic for builtins with rational pmfs, so their agreement can be
+asserted with == rather than a tolerance.
 """
 
 from __future__ import annotations
@@ -30,15 +32,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .offspring import OffspringDistribution
 from .seeds import as_generator
 
-# iterated-convolution ceiling; past this only mu_analytic / mu_mc are offered
-DP_LIMIT = 100_000
+# size-law ceiling of the Newton path (harmonic:10 at 10^6 takes about 4 s and
+# 120 MB); past this only mu_analytic / mu_mc are offered
+DP_LIMIT = 1_000_000
 _RATIONAL_DP_LIMIT = 512
 _ENUMERATION_LIMIT = 12
 
@@ -103,6 +105,9 @@ def mu_analytic(sigma2: float, budget: int) -> float:
 
 def rational_pmf(dist: OffspringDistribution) -> list | None:
     """Exact rational pmf for builtins that have one, else None."""
+    # imported on use, like in the other exact oracles: fractions loads
+    # decimal, 0.4 MB of RSS that the float paths never need
+    from fractions import Fraction
     name, p = dist.name, dist.param
     if name == "catalan":
         return [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
@@ -120,12 +125,13 @@ def rational_pmf(dist: OffspringDistribution) -> list | None:
 
 
 def size_pmf_exact(dist: OffspringDistribution, t_max: int, rational: bool = False) -> SizeLaw:
-    """Exact P{N = t} for t <= t_max via the truncated convolution DP.
+    """Exact P{N = t} for t <= t_max, the coefficients of T(x) = x f(T(x)).
 
-    Offspring sums only grow, so convolution mass above t_max - 1 can never
-    return to the diagonal and is dropped; each step then costs
-    O(t_max * max_degree).  The rational path runs the same recurrence in
-    Fraction arithmetic (builtins with rational pmfs only, t_max <= 512).
+    The float path solves that equation by Newton iteration on power series
+    in O(max_degree * t_max log t_max); entries off the lattice
+    t = 1 (mod span) are exactly 0.0 and none is negative.  The rational path
+    runs the truncated convolution DP in Fraction arithmetic (builtins with
+    rational pmfs only, t_max <= 512).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -135,14 +141,73 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int, rational: bool = Fal
         raise ValueError(
             f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
             "use mu_analytic or mu_mc at that scale")
-    p = dist.pmf
-    conv = np.ones(1)
-    pmf = [0.0] * (t_max + 1)
-    for t in range(1, t_max + 1):
-        conv = np.convolve(conv, p)[:t_max]
-        pmf[t] = float(conv[t - 1]) / t if t - 1 < len(conv) else 0.0
+    pmf = tuple(_progeny_series(dist.pmf, t_max + 1, dist.span).tolist())
     tail = 1.0 - math.fsum(pmf)
-    return SizeLaw(t_max=t_max, pmf=tuple(pmf), tail=tail)
+    return SizeLaw(t_max=t_max, pmf=pmf, tail=tail)
+
+
+def _progeny_series(p, n, span):
+    """First n coefficients of T(x) = x f(T(x)), f(s) = sum_k p[k] s^k.
+
+    With T correct below x^m, one Newton step
+    T <- T + (x f(T) - T) / (1 - x f'(T)) is correct below x^2m (Brent and
+    Kung, J. ACM 1978).  The numerator vanishes below x^m, so the step only
+    writes coefficients m..2m-1 and the denominator is needed mod x^m.
+    """
+    series = np.zeros(1)
+    m = 1
+    while m < n:
+        m2 = min(2 * m, n)
+        k = m2 - m
+        # f(T) mod x^(m2-1) and f'(T) mod x^k together, by Horner's rule
+        f = np.zeros(m2 - 1)
+        f[0] = p[-1]
+        df = np.zeros(k)
+        for pk in p[-2::-1]:
+            df = _mul(df, series, k) + f[:k]
+            f = _mul(f, series, m2 - 1)
+            f[0] += pk
+        denominator = np.concatenate(([1.0], -df[:k - 1]))
+        step = _mul(f[m - 1:], _reciprocal(denominator, k), k)
+        if span > 1:  # sizes off t = 1 (mod span) have probability exactly 0
+            step[(np.arange(m, m2) - 1) % span != 0] = 0.0
+        np.maximum(step, 0.0, out=step)  # round-off can dip below a true 0
+        series = np.concatenate((series, step))
+        m = m2
+    return series
+
+
+def _reciprocal(a, n):
+    """First n coefficients of 1 / a for a power series with a[0] == 1."""
+    r = np.ones(1)
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        error = _mul(a[:k2], r, k2)[k:]  # a r = 1 - error x^k mod x^k2
+        r = np.concatenate((r, -_mul(r, error, k2 - k)))
+        k = k2
+    return r
+
+
+# np.convolve beats an FFT product until the shorter factor passes about 500
+# terms (measured on a 2-core x86_64 VM, numpy 2.4)
+_FFT_CUTOFF = 512
+
+
+def _mul(a, b, n):
+    """First n coefficients of the product of the power series a and b."""
+    a, b = a[:n], b[:n]
+    if min(len(a), len(b)) <= _FFT_CUTOFF:
+        return np.convolve(a, b)[:n]
+    # imported here: numpy.fft costs 0.4 MB of RSS that short products never need
+    from numpy import fft
+    size = _fft_size(len(a) + len(b) - 1)
+    return fft.irfft(fft.rfft(a, size) * fft.rfft(b, size), size)[:n]
+
+
+def _fft_size(k):
+    """Smallest 2^i or 3 * 2^i that is >= k; FFTs of those lengths are fast."""
+    return min(1 << (k - 1).bit_length(), 3 << ((k - 1) // 3).bit_length())
 
 
 def _size_pmf_rational(dist, t_max):
@@ -151,6 +216,7 @@ def _size_pmf_rational(dist, t_max):
     p = rational_pmf(dist)
     if p is None:
         raise ValueError(f"no exact rational pmf for {dist!r}; use the float path")
+    from fractions import Fraction
     support = [(k, pk) for k, pk in enumerate(p) if pk]
     conv = {0: Fraction(1)}
     pmf = [Fraction(0)] * (t_max + 1)
@@ -207,12 +273,18 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
 
 
 def _min_size_batch(cdf, budget, m, rng):
+    # out stays int64: the caller squares it.  After t steps a tree has at
+    # most 1 + t * (max_degree - 1) open branches, which int32 holds unless
+    # budget * max_degree reaches 2^31.
     out = np.full(m, budget, dtype=np.int64)
-    alive = np.arange(m)
-    open_branches = np.ones(m, dtype=np.int64)
+    alive = np.arange(m, dtype=np.int32)
+    branch_type = np.int32 if budget * len(cdf) < 2 ** 31 else np.int64
+    open_branches = np.ones(m, dtype=branch_type)
     for t in range(1, budget + 1):
         draws = np.searchsorted(cdf, rng.random(alive.size), side="right")
-        open_branches += draws - 1
+        open_branches += draws
+        del draws
+        open_branches -= 1
         done = open_branches == 0
         if t < budget:
             out[alive[done]] = t
@@ -283,6 +355,7 @@ def enumerate_small_trees(dist: OffspringDistribution, n_max: int) -> SizeLaw:
         p = [float(x) for x in dist.pmf]
         one, zero = 1.0, 0.0
     else:
+        from fractions import Fraction
         one, zero = Fraction(1), Fraction(0)
     support = [(k, pk) for k, pk in enumerate(p) if pk]
     totals = [zero] * (n_max + 1)

@@ -12,6 +12,8 @@ A single 64-bit --seed drives every subcommand; sweeps expand it into one
 substream per sampled tree (indices 0, 1, ...) and one per Monte Carlo
 estimate (indices 2^32, 2^32 + 1, ...) via the splitmix derivation in
 `seeds.substream`, so reruns with the same configuration are byte-identical.
+verify is the exception: its randomized checks draw a fresh seed and print
+it unless --seed replays one.
 Exit codes: 0 on success, 1 on a domain or usage error, 2 when verification
 fails.
 
@@ -23,6 +25,7 @@ Examples:
         --runs 3 --seed 42 --out sweep.csv
     gwsearch simulate --tree tree.txt --budget 13 --workers 4 --restart-cost 2
     gwsearch verify --level full
+    gwsearch verify --seed 12345
 """
 
 import argparse
@@ -131,7 +134,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     # bind the stream at call time so output redirection is respected
-    results = verify.run_acceptance(args.level, stream=sys.stdout)
+    results = verify.run_acceptance(args.level, stream=sys.stdout, seed=args.seed)
     return 0 if all(r.passed for r in results) else 2
 
 
@@ -188,6 +191,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--level", choices=verify.LEVELS, default="fast")
+    p.add_argument("--seed", type=int, default=None,
+                   help="replay checks 6 and 7 from the seed a run printed")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -67,6 +67,8 @@ class PreorderTree:
             raise ValueError("degrees must be >= 0")
         if raw.max() > MAX_DEGREE:
             raise ValueError(f"degrees must be <= {MAX_DEGREE}")
+        if raw.dtype.kind not in "biu" and (raw % 1 != 0).any():
+            raise ValueError("degrees must be integers")
         arr = np.ascontiguousarray(raw, dtype=np.int32)
         walk = 1 + np.cumsum(arr.astype(np.int64) - 1)
         if walk[-1] != 0:

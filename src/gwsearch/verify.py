@@ -9,14 +9,17 @@ observed restart counts against the exact expected-work oracle.
 Checks 1 and 7 pin the 25-node example tree used throughout the docs: its
 search traces, restart counts, job-list sizes, and simulated makespans are
 known in closed form and must match exactly.  Checks 2-4 cross-validate the
-three independent routes to the size law and expected work (enumeration,
-convolution DP, Monte Carlo, closed-form asymptotic).  Check 6 re-runs the
-structural invariants on freshly seeded random trees, so every invocation
-exercises new instances.  Checks 5 and 8 verify the restart-count law
-R/n -> 1/mu_b and its sqrt(b) budget scaling on trees with n >= 10^6.
+independent routes to the size law and expected work (enumeration, the
+rational convolution DP, the float Newton path, Monte Carlo, closed-form
+asymptotic).  Checks 6 and 7 run on freshly seeded random trees, so every
+invocation exercises new instances; each prints its seed, and
+run_acceptance(seed=N) (CLI: verify --seed N) replays it.  Checks 5 and 8
+verify the restart-count law R/n -> 1/mu_b and its sqrt(b) budget scaling on
+trees with n >= 10^6.
 """
 
 import dataclasses
+import functools
 import sys
 import time
 
@@ -152,8 +155,25 @@ def _check_restart_law_scale():
                   f"table column within {table_worst:.0%} of sqrt(pi/8b)")
 
 
-def _check_structural_invariants():
-    rng = np.random.default_rng()
+def _fresh_seed() -> int:
+    # not secrets.randbits: importing secrets here would load hashlib and
+    # OpenSSL (about 4 MB of RSS) on every import of gwsearch
+    return int(np.random.default_rng().integers(2 ** 63))
+
+
+def _seeded(check):
+    """Give a randomized check a seed, drawn when none is passed, and print it."""
+    @functools.wraps(check)
+    def run(seed=None):
+        if seed is None:
+            seed = _fresh_seed()
+        passed, detail = check(np.random.default_rng(seed))
+        return passed, f"{detail}, seed={seed}"
+    return run
+
+
+@_seeded
+def _check_structural_invariants(rng):
     specs = ("catalan", "full_binary", "ternary_uniform", "harmonic:3",
              "geometric", "poisson", "binomial:4")
     tree_count = 0
@@ -208,7 +228,8 @@ def _check_structural_invariants():
                   f"invariance, positivity; {rotations} unique rotations")
 
 
-def _check_simulation():
+@_seeded
+def _check_simulation(rng):
     tree = example_tree()
     report = scheduler.simulate_parallel(tree, 13, workers=1, restart_cost=0)
     if report.makespan != 24 or report.idle_time != 0:
@@ -216,7 +237,6 @@ def _check_simulation():
     report = scheduler.simulate_parallel(tree, 13, workers=1, restart_cost=2)
     if report.makespan != 36:
         return False, f"W=1 r=2 on the example tree: makespan={report.makespan} != 36"
-    rng = np.random.default_rng()
     trees = [tree]
     for spec in ("catalan", "ternary_uniform"):
         dist = offspring.parse_spec(spec)
@@ -270,21 +290,30 @@ _CHECKS = (
 LEVELS = ("fast", "full")
 
 
-def run_acceptance(level: str = "fast", stream=sys.stdout):
+_SEEDED_CHECKS = (6, 7)
+
+
+def run_acceptance(level: str = "fast", stream=sys.stdout, seed=None):
     """Run the acceptance checks; return a list of CriterionResult.
 
     level "fast" runs the fixture and oracle checks; "full" runs everything
     including the million-node sweeps.  One line per check is written to
     stream (pass None to silence), plus a closing summary naming failures.
+    The randomized checks 6 and 7 share one seed, drawn afresh unless seed
+    (an int >= 0) replays a printed one; each prints it in its line.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
+    if seed is None:
+        seed = _fresh_seed()
+    elif seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     results = []
     for number, name, tier, check in _CHECKS:
         if tier == "full" and level != "full":
             continue
         start = time.perf_counter()
-        passed, detail = check()
+        passed, detail = check(seed) if number in _SEEDED_CHECKS else check()
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, name, passed, detail, elapsed))
         if stream is not None:

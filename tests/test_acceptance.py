@@ -6,7 +6,9 @@ as the scripted form of `gwsearch verify --level full`.  The two scale
 checks sample multi-million-node trees and take a few seconds each.
 """
 
-from gwsearch import verify
+import re
+
+from gwsearch import gwtree, verify
 
 
 def _run(number):
@@ -48,3 +50,31 @@ def test_criterion_7_simulation_sanity():
 
 def test_criterion_8_budget_scaling_of_restarts():
     _run(8)
+
+
+def test_randomized_checks_replay_from_printed_seed(monkeypatch):
+    # only checks 6 and 7 draw random trees; record the size of each one
+    monkeypatch.setattr(verify, "_CHECKS",
+                        tuple(c for c in verify._CHECKS if c[0] in (6, 7)))
+    sizes = []
+    sample = gwtree.sample_at_least
+
+    def recording(*args, **kwargs):
+        tree, attempts = sample(*args, **kwargs)
+        sizes.append(tree.n)
+        return tree, attempts
+
+    monkeypatch.setattr(gwtree, "sample_at_least", recording)
+
+    def run(seed):
+        sizes.clear()
+        results = verify.run_acceptance("fast", stream=None, seed=seed)
+        assert all(r.passed for r in results)
+        return [r.detail for r in results], list(sizes)
+
+    lines, drawn = run(None)
+    printed = {re.fullmatch(r".*, seed=(\d+)", line).group(1) for line in lines}
+    assert len(printed) == 1  # one seed per run, printed by both checks
+    assert run(int(printed.pop())) == (lines, drawn)
+    assert run(2024) == run(2024)
+    assert run(2025)[1] != run(2024)[1]

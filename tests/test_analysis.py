@@ -1,6 +1,8 @@
 """Size law, mu estimators, asymptotics, restart-law report."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,62 @@ def test_size_pmf_float_matches_rational():
     for t in range(1, 6):
         assert law.pmf[t] == pytest.approx(float(CATALAN_SIZES[t - 1]), abs=1e-15)
     assert law.tail == pytest.approx(float(1 - sum(CATALAN_SIZES)), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["catalan", "ternary_uniform", "harmonic:3",
+                                  "binomial:4"])
+def test_size_pmf_newton_matches_rational(spec):
+    dist = offspring.parse_spec(spec)
+    exact = size_pmf_exact(dist, 300, rational=True)
+    law = size_pmf_exact(dist, 300)
+    for t in range(1, 301):
+        assert law.pmf[t] == pytest.approx(float(exact.pmf[t]), rel=1e-12, abs=0)
+
+
+# (spec, b, mu_exact, pmf[b]) from the O(b^2 D) float convolution DP that the
+# Newton path replaced
+DP_PINS = [("harmonic:10", 10_000, 75.3983895222824, 1.8806115212147313e-07),
+           ("geometric", 2000, 50.45949662186937, 3.1545071658265768e-06),
+           ("full_binary", 10_001, 158.5888800799222, 7.977050729236306e-07)]
+
+
+@pytest.mark.parametrize("spec, budget, mu, last", DP_PINS)
+def test_size_pmf_matches_convolution_dp(spec, budget, mu, last):
+    dist = offspring.parse_spec(spec)
+    assert size_pmf_exact(dist, budget).pmf[budget] == pytest.approx(last, rel=1e-10)
+    assert mu_exact(dist, budget).value == pytest.approx(mu, rel=1e-10)
+
+
+def test_size_pmf_lattice_and_sign():
+    law = size_pmf_exact(FULL_BINARY, 10_000)
+    assert all(law.pmf[t] == 0.0 for t in range(0, 10_001, 2))
+    assert all(type(x) is float and x >= 0.0 for x in law.pmf)
+    assert law.tail == 1.0 - math.fsum(law.pmf)
+
+
+def test_size_pmf_shortest_series():
+    assert size_pmf_exact(CATALAN, 1).pmf == (0.0, 0.25)
+    assert size_pmf_exact(CATALAN, 2).pmf == (0.0, 0.25, 0.125)
+    assert size_pmf_exact(FULL_BINARY, 2).pmf == (0.0, 0.5, 0.0)
+    assert size_pmf_exact(CATALAN, 2).tail == 0.625
+
+
+def test_size_pmf_subcritical_matches_enumeration():
+    dist = offspring.make_custom([0.5, 0.2, 0.2, 0.1], assert_critical=False)
+    enum = enumerate_small_trees(dist, 12)
+    law = size_pmf_exact(dist, 12)
+    for t in range(1, 13):
+        assert law.pmf[t] == pytest.approx(enum.pmf[t], rel=1e-13, abs=1e-16)
+
+
+def test_short_size_laws_leave_numpy_fft_unloaded(child_env):
+    code = ("import sys, gwsearch; "
+            "gwsearch.mu_exact(gwsearch.parse_spec('ternary_uniform'), 500); "
+            "print('numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_size_pmf_resource_limits():

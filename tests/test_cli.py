@@ -177,6 +177,11 @@ def test_verify_fast(capsys):
     assert "check 5" not in out  # scale checks are full-level only
 
 
+def test_verify_rejects_negative_seed(capsys):
+    assert run_cli("verify", "--seed", "-1") == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def check_help(proc):
     assert proc.returncode == 0
     assert "usage: gwsearch" in proc.stdout

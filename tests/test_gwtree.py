@@ -106,6 +106,8 @@ def test_invalid_degree_sequences():
         gwtree.PreorderTree([3, -1, 0])
     with pytest.raises(ValueError, match="degrees must be <= 2147483647"):
         gwtree.PreorderTree(np.array([4294967298, 0, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        gwtree.PreorderTree([2.5, 0, 0])
     with pytest.raises(ValueError, match="non-empty"):
         gwtree.PreorderTree([])
     with pytest.raises(ValueError, match="non-empty"):
