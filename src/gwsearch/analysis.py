@@ -38,10 +38,11 @@ import numpy as np
 from .offspring import OffspringDistribution
 from .seeds import as_generator
 
-# size-law ceiling of the Newton path (harmonic:10 at 10^6 takes about 4 s and
-# 120 MB); past this only mu_analytic / mu_mc are offered
-DP_LIMIT = 1_000_000
+# size-law ceiling of the Newton path (harmonic:10 at 4 * 10^6 takes about 25 s
+# and 380 MB); past this only mu_analytic / mu_mc are offered
+DP_LIMIT = 4_000_000
 _RATIONAL_DP_LIMIT = 512
+_MC_CHUNK = 1 << 20  # trees grown per mu_mc batch; bounds its working memory
 _ENUMERATION_LIMIT = 12
 
 
@@ -130,8 +131,8 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int, rational: bool = Fal
     The float path solves that equation by Newton iteration on power series
     in O(max_degree * t_max log t_max); entries off the lattice
     t = 1 (mod span) are exactly 0.0 and none is negative.  The rational path
-    runs the truncated convolution DP in Fraction arithmetic (builtins with
-    rational pmfs only, t_max <= 512).
+    runs the truncated convolution DP exactly, in integers over a common
+    denominator (builtins with rational pmfs only, t_max <= 512).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -217,18 +218,18 @@ def _size_pmf_rational(dist, t_max):
     if p is None:
         raise ValueError(f"no exact rational pmf for {dist!r}; use the float path")
     from fractions import Fraction
-    support = [(k, pk) for k, pk in enumerate(p) if pk]
-    conv = {0: Fraction(1)}
+    # P{xi_1 + ... + xi_t = s} = conv[s] / q^t in integers: no step pays for a gcd
+    q = math.lcm(*(pk.denominator for pk in p))
+    support = [(k, int(pk * q)) for k, pk in enumerate(p) if pk]
+    conv = [1] + [0] * (t_max - 1)
     pmf = [Fraction(0)] * (t_max + 1)
     for t in range(1, t_max + 1):
-        nxt = {}
-        for s, mass in conv.items():
-            for k, pk in support:
-                if s + k < t_max:
-                    key = s + k
-                    nxt[key] = nxt.get(key, Fraction(0)) + mass * pk
+        nxt = [0] * t_max
+        for k, ak in support:
+            for s in range(k, t_max):
+                nxt[s] += conv[s - k] * ak
         conv = nxt
-        pmf[t] = conv.get(t - 1, Fraction(0)) / t
+        pmf[t] = Fraction(conv[t - 1], t * q ** t)
     tail = 1 - sum(pmf)
     return SizeLaw(t_max=t_max, pmf=tuple(pmf), tail=tail)
 
@@ -243,7 +244,7 @@ def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
 
 
 def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
-          seed=None, chunk: int = 1 << 20) -> MuEstimate:
+          seed=None) -> MuEstimate:
     """Monte Carlo E min(N, b): grow each tree at most b nodes, vectorized.
 
     All live trees advance one node per step, so a batch costs b draws in
@@ -255,15 +256,11 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = as_generator(seed)
-    total = 0.0
-    total_sq = 0.0
-    left = samples
-    while left > 0:
-        m = min(chunk, left)
-        vals = _min_size_batch(dist.cdf, budget, m, rng)
+    total = total_sq = 0.0
+    for start in range(0, samples, _MC_CHUNK):
+        vals = _min_size_batch(dist.cdf, budget, min(_MC_CHUNK, samples - start), rng)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        left -= m
     mean = total / samples
     if samples == 1:
         return MuEstimate(value=mean, method="monte-carlo", std_error=None)
@@ -313,22 +310,16 @@ def tail_asymptotic(dist: OffspringDistribution, n: int) -> float:
 
 
 def theorem1_check(restarts: int, n: int, dist: OffspringDistribution, budget: int,
-                   mu_method: str = "auto", mc_samples: int = 1_000_000,
-                   seed=None) -> Theorem1Report:
+                   mu_method: str = "exact") -> Theorem1Report:
     """Package the two restart-law ratios for a finished run.
 
-    mu_method "auto" uses the exact DP up to its limit and Monte Carlo
-    above (Table-style sweeps go past the DP range); "exact" / "mc" force
-    the route, and the one used is recorded in the report.
+    mu_b always comes from the exact size law (mu_exact), so budgets above
+    DP_LIMIT raise; mu_mc and mu_analytic remain for those.  mu_method takes
+    only "exact": it stays so that callers which name the route keep working.
     """
-    if mu_method not in ("auto", "exact", "mc"):
-        raise ValueError("mu_method must be auto, exact, or mc")
-    if mu_method == "auto":
-        mu_method = "exact" if budget <= DP_LIMIT else "mc"
-    if mu_method == "exact":
-        est = mu_exact(dist, budget)
-    else:
-        est = mu_mc(dist, budget, samples=mc_samples, seed=seed)
+    if mu_method != "exact":
+        raise ValueError("mu_method must be 'exact'; mu_mc is the Monte Carlo route")
+    est = mu_exact(dist, budget)
     sigma = dist.sigma
     return Theorem1Report(
         n=n, budget=budget, restarts=restarts, sigma=sigma,

@@ -9,9 +9,9 @@ Subcommands
     verify    run the acceptance checks (fast or full)
 
 A single 64-bit --seed drives every subcommand; sweeps expand it into one
-substream per sampled tree (indices 0, 1, ...) and one per Monte Carlo
-estimate (indices 2^32, 2^32 + 1, ...) via the splitmix derivation in
-`seeds.substream`, so reruns with the same configuration are byte-identical.
+substream per sampled tree (indices 0, 1, ...) via the splitmix derivation
+in `seeds.substream`, and take mu_b from the exact size law, so reruns with
+the same configuration are byte-identical.
 verify is the exception: its randomized checks draw a fresh seed and print
 it unless --seed replays one.
 Exit codes: 0 on success, 1 on a domain or usage error, 2 when verification
@@ -35,8 +35,6 @@ from . import analysis, gwtree, offspring, scheduler, verify
 from .scheduler import _fmt
 from .seeds import substream
 
-MC_STREAM_BASE = 1 << 32  # sweep estimator substreams live above the tree ones
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; reserve 2 for verification failures."""
@@ -48,8 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _budget_list(text: str):
     values = [int(part) for part in text.split(",") if part]
-    if not values:
-        raise argparse.ArgumentTypeError("budget list is empty")
+    # checked before any tree is sampled; the exact size law stops at DP_LIMIT
+    if not values or not all(1 <= b <= analysis.DP_LIMIT for b in values):
+        raise argparse.ArgumentTypeError(
+            f"need one or more budgets, each in 1..{analysis.DP_LIMIT}")
     return values
 
 
@@ -101,11 +101,9 @@ def cmd_sweep(args) -> int:
                                          seed=substream(args.seed, run),
                                          cap=args.cap)
         n = len(tree)
-        for j, budget in enumerate(args.budget):
+        for budget in args.budget:
             stats = scheduler.run_single(tree, budget, policy=args.policy)
-            index = MC_STREAM_BASE + run * len(args.budget) + j
-            report = analysis.theorem1_check(stats.restarts, n, dist, budget,
-                                             seed=substream(args.seed, index))
+            report = analysis.theorem1_check(stats.restarts, n, dist, budget)
             rows.append((args.dist, report))
             print(f"{args.dist} b={budget} n={n} R={stats.restarts} "
                   f"rho_table={report.rho_table:.6g} rho_exact={report.rho_exact:.6g} "
@@ -203,10 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"gwsearch: error: {exc}", file=sys.stderr)
-        return 1
-    except gwtree.AttemptsExhausted as exc:
+    except (ValueError, OSError, gwtree.AttemptsExhausted) as exc:
         print(f"gwsearch: error: {exc}", file=sys.stderr)
         return 1
 

@@ -203,6 +203,8 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
         cap = 100 * n_min
     if cap < n_min:
         raise ValueError("cap must be >= n_min")
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     rng = as_generator(seed)
     attempts = 0
     while True:
@@ -229,6 +231,8 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     rng = as_generator(seed)
     cdf = dist.cdf
     target = n - 1

@@ -159,8 +159,11 @@ def _harmonic_pmf(delta: int) -> list[float]:
 def _binomial_pmf(k: int) -> list[float]:
     if k < 2:
         raise ValueError("binomial family needs k >= 2")
-    return [math.comb(k, i) * (1.0 / k) ** i * (1.0 - 1.0 / k) ** (k - i)
-            for i in range(k + 1)]
+    try:
+        return [math.comb(k, i) * (1.0 / k) ** i * (1.0 - 1.0 / k) ** (k - i)
+                for i in range(k + 1)]
+    except OverflowError:  # from k = 1030 on, C(k, k/2) exceeds the float range
+        raise ValueError(f"binomial:{k} is too large for float coefficients") from None
 
 
 def _uniform_pmf(k: int) -> list[float]:

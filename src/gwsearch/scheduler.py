@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -177,6 +178,10 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
         raise ValueError("workers must be >= 1")
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
+    # no event ends after horizon, and idle_time is at most workers * horizon
+    horizon = tree.n - 1 + tree.n * restart_cost
+    if horizon > sys.float_info.max or workers > sys.float_info.max / max(horizon, 1):
+        raise ValueError("workers or restart_cost too large: times overflow a float")
     ext = tree.extent
     jobs, pop = _job_list(policy)
     # A run has at most n jobs and the lowest idle index always goes first,

@@ -222,17 +222,19 @@ def test_theorem1_check_fields():
     assert rep.estimate == pytest.approx(math.sqrt(math.pi / (8 * 13)))
 
 
-def test_theorem1_check_dispatch():
-    forced = theorem1_check(5, 25, CATALAN, 13, mu_method="mc",
-                            mc_samples=1000, seed=5)
-    assert forced.mu_method == "monte-carlo"
-    auto = theorem1_check(1000, 10 ** 6, CATALAN, DP_LIMIT + 1,
-                          mc_samples=50, seed=3)
-    assert auto.mu_method == "monte-carlo"  # past the DP limit
-    assert theorem1_check(5, 25, CATALAN, 13, mu_method="exact").mu_method == \
-        "exact-dp"
-    with pytest.raises(ValueError, match="mu_method must be auto, exact, or mc"):
-        theorem1_check(5, 25, CATALAN, 13, mu_method="dp")
+def test_theorem1_check_dispatch(monkeypatch):
+    rep = theorem1_check(5, 25, CATALAN, 13, mu_method="exact")
+    assert (rep.mu_method, rep.mu) == ("exact-dp", mu_exact(CATALAN, 13).value)
+    for method in ("auto", "mc"):
+        with pytest.raises(ValueError, match="mu_mc is the Monte Carlo route"):
+            theorem1_check(5, 25, CATALAN, 13, mu_method=method)
+
+    def no_series(*args):
+        raise AssertionError("size law computed past DP_LIMIT")
+
+    monkeypatch.setattr(analysis, "_progeny_series", no_series)
+    with pytest.raises(ValueError, match="above the convolution limit"):
+        theorem1_check(1000, 10 ** 6, CATALAN, DP_LIMIT + 1)
 
 
 def test_write_verification_csv(tmp_path):

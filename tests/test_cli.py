@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gwsearch import cli
+from gwsearch import analysis, cli
 
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
 
@@ -41,6 +41,8 @@ def test_dist_output(capsys):
 def test_dist_rejects_non_critical(capsys):
     assert run_cli("dist", "--dist", "custom:0.5,0.5") == 1
     assert "not critical" in capsys.readouterr().err
+    assert run_cli("dist", "--dist", "binomial:100000") == 1
+    assert "too large for float coefficients" in capsys.readouterr().err
 
 
 def test_gen_exact(tmp_path, capsys):
@@ -82,6 +84,12 @@ def test_gen_attempts_exhausted(tmp_path, capsys):
     assert run_cli("gen", "--dist", "catalan", "--n", "100", "--seed", "0",
                    "--max-attempts", "2", "--out", str(tmp_path / "t.tree")) == 1
     assert "not reached after 2 attempts" in capsys.readouterr().err
+    for size in ("--n", "--n-min"):
+        for attempts in ("0", "-3"):
+            assert run_cli("gen", "--dist", "catalan", size, "25", "--max-attempts",
+                           attempts, "--out", str(tmp_path / "t.tree")) == 1
+            assert "max_attempts must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.tree").exists()
 
 
 def test_search_fixture(tree25_path, tmp_path, capsys):
@@ -138,6 +146,10 @@ def test_simulate(tree25_path, tmp_path, capsys):
         assert run_cli("simulate", "--tree", tree25_path, "--budget", "13",
                        "--restart-cost", cost) == 1
         assert "restart_cost must be >= 0 and finite" in capsys.readouterr().err
+    for flag, value in (("--restart-cost", "1e308"), ("--workers", "9" * 400)):
+        assert run_cli("simulate", "--tree", tree25_path, "--budget", "13",
+                       flag, value) == 1
+        assert "too large: times overflow a float" in capsys.readouterr().err
 
 
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
@@ -161,6 +173,18 @@ def test_empty_budget_list_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_cli("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "")
     assert info.value.code == 1
+
+
+def test_sweep_budget_past_exact_law_fails_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("tree sampled before the budgets were checked")
+
+    monkeypatch.setattr(cli.gwtree, "sample_at_least", no_sampling)
+    for budget in (f"5,{analysis.DP_LIMIT + 1}", "0"):
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--dist", "catalan", "--n-min", "10", "--budget", budget)
+        assert info.value.code == 1
+        assert f"each in 1..{analysis.DP_LIMIT}" in capsys.readouterr().err
 
 
 def test_unknown_subcommand():

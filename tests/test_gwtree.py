@@ -173,6 +173,11 @@ def test_sample_at_least():
         gwtree.sample_at_least(cat, 0, 1)
     with pytest.raises(ValueError, match="cap must be >= n_min"):
         gwtree.sample_at_least(cat, 10, 1, cap=9)
+    for attempts in (0, -1):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            gwtree.sample_at_least(cat, 10, 1, max_attempts=attempts)
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            gwtree.sample_exact(cat, 25, 1, max_attempts=attempts)
 
 
 def test_sample_at_least_exhaustion():

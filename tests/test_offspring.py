@@ -70,6 +70,9 @@ def test_binomial_moments():
                        offspring.make_builtin("catalan").pmf, atol=1e-15)
     with pytest.raises(ValueError, match="k >= 2"):
         offspring.make_builtin("binomial", 1)
+    assert offspring.make_builtin("binomial", 1029).mean == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="binomial:1030 is too large"):
+        offspring.make_builtin("binomial", 1030)
 
 
 def test_geometric_truncation_against_rational_oracle():

@@ -180,6 +180,10 @@ def test_simulate_validation(tree25):
     for cost in (-1, math.nan, math.inf):
         with pytest.raises(ValueError, match="restart_cost must be >= 0 and finite"):
             simulate_parallel(tree25, 13, 1, restart_cost=cost)
+    for workers, cost in ((1, 1e308), (1, 10 ** 400), (10 ** 400, 0),
+                          (10 ** 400, 0.0), (10 ** 300, 1e10)):
+        with pytest.raises(ValueError, match="too large: times overflow a float"):
+            simulate_parallel(tree25, 13, workers, restart_cost=cost)
 
 
 def test_series_export(tree25, tmp_path):
