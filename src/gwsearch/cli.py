@@ -173,8 +173,9 @@ def build_parser() -> _Parser:
     p.add_argument("--runs", type=int, default=1, help="trees per sweep")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=scheduler.POLICIES, default="lifo")
-    p.add_argument("--cap", type=int, default=25_000_000,
-                   help="per-attempt node cap while sampling")
+    p.add_argument("--cap", type=int, default=None,
+                   help="abort any single attempt beyond this many nodes "
+                        "(default: 100 * n-min)")
     p.add_argument("--out", help="verification CSV path")
     p.set_defaults(func=cmd_sweep)
 

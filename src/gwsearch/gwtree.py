@@ -70,49 +70,74 @@ class PreorderTree:
         if raw.dtype.kind not in "biu" and (raw % 1 != 0).any():
             raise ValueError("degrees must be integers")
         arr = np.ascontiguousarray(raw, dtype=np.int32)
-        walk = 1 + np.cumsum(arr.astype(np.int64) - 1)
-        if walk[-1] != 0:
+        n = len(arr)
+        # the walk S[u] = Q(u) - 1 = sum_{i<u}(degrees[i] - 1), u = 0..n, in
+        # int64 so that no invalid sequence wraps; arr - 1 >= -1 fits int32
+        walk = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(arr - 1, dtype=np.int64, out=walk[1:])
+        if walk[-1] != -1:
             raise ValueError(
-                f"degree sum {int(arr.sum())} != n - 1 = {len(arr) - 1}: not a tree")
-        if len(arr) > 1 and walk[:-1].min() <= 0:
+                f"degree sum {int(arr.sum())} != n - 1 = {n - 1}: not a tree")
+        if n > 1 and walk[1:-1].min() < 0:
             raise ValueError("tree closes before the last node (preorder invalid)")
+        if n < 2**31:  # a valid tree keeps S in [-1, n - 1]
+            walk = walk.astype(np.int32)
         arr.flags.writeable = False
+        walk.flags.writeable = False
         self.degrees = arr
-        self.n = len(arr)
+        self.n = n
+        self._walk = walk
 
     @cached_property
     def max_degree(self) -> int:
         return int(self.degrees.max())
 
     @cached_property
+    def _keys(self) -> np.ndarray:
+        """Sorted (level, position) keys of the walk's down-steps.
+
+        Down-steps are unit, so the walk S first reaches a lower level at a
+        position u entered right after a leaf; the keys are S[u] * (n + 2) + u
+        for those positions, sorted, which orders them by (level, position).
+        """
+        down = np.flatnonzero(self.degrees == 0) + 1
+        keys = np.multiply(self._walk[down], self.n + 2, dtype=np.int64)
+        keys += down
+        keys.sort()
+        keys.flags.writeable = False
+        return keys
+
+    def _first_hits(self, levels, after) -> np.ndarray:
+        """For each query, the first position u > after with S[u] == level.
+
+        Needs S[after] > level: the walk then first reaches level by a
+        down-step, so u is the first key past (level, after).
+        """
+        base = self.n + 2
+        keys = self._keys
+        queries = np.multiply(levels, base, dtype=np.int64)
+        queries += after
+        hits = keys[np.searchsorted(keys, queries, side="right")]
+        hits %= base  # numpy modulo keeps the divisor's sign: safe at level -1
+        return hits
+
+    @cached_property
     def extent(self) -> np.ndarray:
         """Subtree sizes for every node, computed in one vectorized pass.
 
-        With S[u] = sum_{i<u}(degrees[i] - 1), the subtree of v ends at the
-        first u > v with S[u] = S[v] - 1.  Down-steps are unit, so that u is
-        a position entered by a down-step (i.e. right after a leaf), and the
-        lookup is a single searchsorted over (level, position) keys.
+        The subtree of v ends at the first u > v with S[u] = S[v] - 1, a
+        single searchsorted over the (level, position) keys.
         """
-        n = self.n
-        s = np.empty(n + 1, dtype=np.int64)
-        s[0] = 0
-        np.cumsum(self.degrees.astype(np.int64) - 1, out=s[1:])
-        down = np.nonzero(self.degrees == 0)[0].astype(np.int64) + 1
-        base = n + 2
-        keys = np.sort(s[down] * base + down)
-        queries = (s[:n] - 1) * base + np.arange(n, dtype=np.int64)
-        idx = np.searchsorted(keys, queries, side="right")
-        ends = keys[idx] % base  # numpy modulo keeps the divisor's sign: safe at level -1
-        ext = ends - np.arange(n, dtype=np.int64)
+        pos = np.arange(self.n, dtype=np.int64)
+        ext = self._first_hits(self._walk[:-1] - 1, pos)
+        ext -= pos
         ext.flags.writeable = False
         return ext
 
     def q_path(self) -> np.ndarray:
         """Open-branch counts Q(0..n): starts at 1, stays positive, ends at 0."""
-        q = np.empty(self.n + 1, dtype=np.int64)
-        q[0] = 1
-        np.cumsum(self.degrees.astype(np.int64) - 1, out=q[1:])
-        q[1:] += 1
+        q = self._walk.astype(np.int64)
+        q += 1
         q.flags.writeable = False
         return q
 
@@ -252,28 +277,53 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
 
 def write_tree(tree: PreorderTree, path) -> None:
     """Two-line text format: node count, then space-separated preorder degrees."""
-    with open(path, "w") as fh:
-        fh.write(f"{tree.n}\n")
-        fh.write(" ".join(map(str, tree.degrees.tolist())))
-        fh.write("\n")
+    degrees = tree.degrees[:, None]
+    width = len(str(tree.max_degree))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    digits = degrees // powers
+    digits %= 10
+    digits += ord("0")
+    text = np.empty((tree.n, width + 1), dtype=np.uint8)
+    text[:, :width] = digits
+    text[:, width] = ord(" ")
+    text[-1, width] = ord("\n")
+    keep = np.ones(text.shape, dtype=bool)
+    keep[:, :width - 1] = degrees >= powers[:-1]  # leading zeros; 0 keeps its last digit
+    with open(path, "wb") as fh:
+        fh.write(f"{tree.n}\n".encode())
+        fh.write(text[keep])
 
 
 def read_tree(path) -> PreorderTree:
-    """Read and fully validate a tree file written by write_tree."""
-    with open(path) as fh:
-        head = fh.readline()
-        body = fh.readline()
+    """Read and fully validate a tree file written by write_tree.
+
+    Line 1 is the node count n.  Line 2 holds n degrees, each ASCII decimal
+    digits, separated by ASCII whitespace.  Only whitespace may follow.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    head, body = (lines + [b"", b""])[:2]
     try:
-        n = int(head.strip())
+        n = int(head)
     except ValueError:
         raise ValueError(f"{path}: first line must be the node count") from None
-    tokens = body.split()
-    if len(tokens) != n:
-        raise ValueError(f"{path}: expected {n} degrees, found {len(tokens)}")
-    try:
-        degrees = np.array(tokens, dtype=np.int64)
-    except ValueError:
-        raise ValueError(f"{path}: degrees must be integers") from None
-    except OverflowError:
-        raise ValueError(f"{path}: degrees must be in [0, {MAX_DEGREE}]") from None
+    if any(line.strip() for line in lines[2:]):
+        raise ValueError(f"{path}: unexpected content after the degree line")
+    chars = np.frombuffer(body, dtype=np.uint8)
+    # uint8 arithmetic wraps below zero, so one comparison tests each range
+    word = np.zeros(chars.size + 2, dtype=bool)  # a space pads either end
+    word[1:-1] = (chars != ord(" ")) & (chars - ord("\t") > 4)  # not \t\n\v\f\r
+    starts = np.flatnonzero(word[1:] & ~word[:-1])
+    lengths = np.flatnonzero(word[:-1] & ~word[1:]) - starts
+    if len(starts) != n:
+        raise ValueError(f"{path}: expected {n} degrees, found {len(starts)}")
+    if ((chars - ord("0") < 10) != word[1:-1]).any():
+        raise ValueError(f"{path}: degrees must be integers")
+    width = int(lengths.max(initial=0))
+    if width > 18:  # 18 digits always fit an int64
+        raise ValueError(f"{path}: degrees must be in [0, {MAX_DEGREE}]")
+    degrees = (chars[starts] - ord("0")).astype(np.int64)
+    for j in range(1, width):  # Horner's rule, one digit column at a time
+        more = lengths > j
+        degrees[more] = degrees[more] * 10 + (chars[starts[more] + j] - ord("0"))
     return PreorderTree(degrees)

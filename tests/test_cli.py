@@ -169,6 +169,21 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert all(row.startswith(b"catalan,") for row in rows[1:])
 
 
+def test_sweep_cap_defaults_to_the_samplers(monkeypatch):
+    caps = []
+    sample = cli.gwtree.sample_at_least
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs["cap"])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli.gwtree, "sample_at_least", spy)
+    common = ("sweep", "--dist", "catalan", "--n-min", "20", "--budget", "5")
+    assert run_cli(*common) == 0
+    assert run_cli(*common, "--cap", "5000") == 0
+    assert caps == [None, 5000]
+
+
 def test_empty_budget_list_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_cli("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "")

@@ -217,11 +217,16 @@ def test_sample_exact_exhaustion():
 
 
 def test_tree_file_roundtrip(tree25, tmp_path):
+    harmonic, _ = gwtree.sample_at_least(offspring.parse_spec("harmonic:10"), 500, seed=3)
+    assert harmonic.max_degree == 10  # two-digit degrees
+    wide = gwtree.PreorderTree([2, 0, 120] + [0] * 120)  # three-digit degrees
     path = tmp_path / "t.tree"
-    gwtree.write_tree(tree25, path)
-    back = gwtree.read_tree(path)
-    assert np.array_equal(back.degrees, tree25.degrees)
-    assert path.read_text().endswith("\n")
+    for tree in (tree25, harmonic, wide, gwtree.PreorderTree([0])):
+        gwtree.write_tree(tree, path)
+        assert path.read_bytes() == (
+            f"{tree.n}\n" + " ".join(map(str, tree.degrees.tolist())) + "\n").encode()
+        back = gwtree.read_tree(path)
+        assert np.array_equal(back.degrees, tree.degrees)
 
 
 def test_read_example_file(tree25, tree25_path):
@@ -241,6 +246,18 @@ def test_read_tree_malformed(tmp_path):
     bad_token.write_text("2\n1 x\n")
     with pytest.raises(ValueError, match="degrees must be integers"):
         gwtree.read_tree(bad_token)
+    # the grammar is ASCII decimal digits: no signs, underscores or other scripts
+    for body in ("+2 0 0", "1_0" + " 0" * 10, "-1 0", "\u0662 0 0"):
+        not_digits = tmp_path / "f.tree"
+        not_digits.write_text(f"{len(body.split())}\n{body}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            gwtree.read_tree(not_digits)
+    trailing = tmp_path / "g.tree"
+    trailing.write_text("3\n2 0 0\njunk\n")
+    with pytest.raises(ValueError, match="unexpected content after the degree line"):
+        gwtree.read_tree(trailing)
+    trailing.write_text("3\n2 0 0\n \t\n\n")  # trailing whitespace is fine
+    assert gwtree.read_tree(trailing).degrees.tolist() == [2, 0, 0]
     huge_token = tmp_path / "e.tree"
     huge_token.write_text("3\n99999999999999999999 0 0\n")
     with pytest.raises(ValueError, match=r"degrees must be in \[0, 2147483647\]"):

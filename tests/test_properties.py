@@ -1,11 +1,15 @@
 """Property-based checks over randomly generated preorder trees."""
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsearch.bdfs import bdfs
-from gwsearch.gwtree import PreorderTree
-from gwsearch.scheduler import run_single, simulate_parallel
+from gwsearch.gwtree import PreorderTree, sample_at_least
+from gwsearch.offspring import parse_spec
+from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
 
 
 def close_to_tree(draws):
@@ -37,6 +41,19 @@ def test_every_node_evaluated_once(degrees, budget):
     assert stats.calls == stats.restarts + 1
 
 
+def check_job_table(tree, budget, oracle=True):
+    """run_single's job table against the sequential loops, field by field.
+
+    run_adaptive with marks (0, inf) is the fixed-budget sequential loop over
+    _call_extent; the oracle engine runs bdfs over tree.adj in that loop.
+    """
+    for policy in ("lifo", "fifo"):
+        table = run_single(tree, budget, policy=policy)
+        assert table == run_adaptive(tree, budget, 0, math.inf, 2, policy)
+        if oracle:
+            assert table == run_single(tree, budget, policy=policy, engine="oracle")
+
+
 @given(degrees=tree_degrees, budget=st.integers(1, 30))
 @settings(max_examples=50, deadline=None)
 def test_restarts_policy_and_engine_invariant(degrees, budget):
@@ -45,6 +62,14 @@ def test_restarts_policy_and_engine_invariant(degrees, budget):
             for p in ("lifo", "fifo") for e in ("extent", "oracle")]
     assert len({s.restarts for s in runs}) == 1
     assert len({s.evaluations for s in runs}) == 1
+    check_job_table(tree, budget)
+
+
+@pytest.mark.parametrize("spec", ["ternary_uniform", "harmonic:10", "catalan"])
+def test_job_table_on_sampled_trees(spec):
+    tree, _ = sample_at_least(parse_spec(spec), 10_000, seed=0, cap=20_000)
+    for budget in (1, 7, 50, 500):
+        check_job_table(tree, budget, oracle=False)
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30),
