@@ -258,7 +258,7 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
     rng = as_generator(seed)
     total = total_sq = 0.0
     for start in range(0, samples, _MC_CHUNK):
-        vals = _min_size_batch(dist.cdf, budget, min(_MC_CHUNK, samples - start), rng)
+        vals = _min_size_batch(dist, budget, min(_MC_CHUNK, samples - start), rng)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / samples
@@ -269,26 +269,31 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
                       std_error=math.sqrt(var / samples))
 
 
-def _min_size_batch(cdf, budget, m, rng):
+def _min_size_batch(dist, budget, m, rng):
     # out stays int64: the caller squares it.  After t steps a tree has at
     # most 1 + t * (max_degree - 1) open branches, which int32 holds unless
     # budget * max_degree reaches 2^31.
     out = np.full(m, budget, dtype=np.int64)
+    # the live trees' ids and open branches, compacted to the front of these
+    # buffers after every step; that keeps each tree's place in the draw order
     alive = np.arange(m, dtype=np.int32)
-    branch_type = np.int32 if budget * len(cdf) < 2 ** 31 else np.int64
+    branch_type = np.int32 if budget * len(dist.pmf) < 2 ** 31 else np.int64
     open_branches = np.ones(m, dtype=branch_type)
+    mask = np.empty(m, dtype=bool)
+    live = m
     for t in range(1, budget + 1):
-        draws = np.searchsorted(cdf, rng.random(alive.size), side="right")
-        open_branches += draws
-        del draws
-        open_branches -= 1
-        done = open_branches == 0
+        branches = open_branches[:live]
+        branches += dist.draw(rng, live)
+        branches -= 1
+        done = np.equal(branches, 0, out=mask[:live])
         if t < budget:
-            out[alive[done]] = t
-        keep = ~done
-        alive = alive[keep]
-        open_branches = open_branches[keep]
-        if alive.size == 0:
+            out[alive[:live][done]] = t
+        keep = np.logical_not(done, out=done)
+        kept = int(np.count_nonzero(keep))
+        alive[:kept] = alive[:live][keep]
+        open_branches[:kept] = branches[keep]
+        live = kept
+        if live == 0:
             break
     return out
 

@@ -29,6 +29,7 @@ Examples:
 """
 
 import argparse
+import re
 import sys
 
 from . import analysis, gwtree, offspring, scheduler, verify
@@ -51,6 +52,24 @@ def _budget_list(text: str):
         raise argparse.ArgumentTypeError(
             f"need one or more budgets, each in 1..{analysis.DP_LIMIT}")
     return values
+
+
+# a non-negative decimal such as 2.5 or 1e-3, or a ratio p/q such as 1/3; the
+# exponent is bounded so that the exact value is cheap to build
+_COST = re.compile(r"\s*(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,3})?)\s*")
+
+
+def _restart_cost(text: str):
+    """--restart-cost, kept exact: "0.1" is 1/10 and "1/3" is 1/3."""
+    try:
+        if _COST.fullmatch(text):
+            from fractions import Fraction  # loads decimal: only on use
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # q = 0, or over 4300 digits
+        pass
+    raise ValueError(
+        "restart_cost must be >= 0 and finite: a decimal such as 2.5 or a "
+        f"ratio p/q such as 1/3, got {text!r}")
 
 
 def cmd_dist(args) -> int:
@@ -117,7 +136,7 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     tree = gwtree.read_tree(args.tree)
     report = scheduler.simulate_parallel(tree, args.budget, workers=args.workers,
-                                         restart_cost=args.restart_cost,
+                                         restart_cost=_restart_cost(args.restart_cost),
                                          policy=args.policy)
     print(f"workers={report.workers} restart_cost={_fmt(report.restart_cost)} "
           f"jobs={report.jobs} restarts={report.restarts} "
@@ -183,7 +202,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tree", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--restart-cost", type=float, default=0.0)
+    p.add_argument("--restart-cost", default="0",
+                   help="time to start a job, exact: e.g. 2, 0.1 or 1/3")
     p.add_argument("--policy", choices=scheduler.POLICIES, default="lifo")
     p.add_argument("--out", help="simulation CSV path")
     p.set_defaults(func=cmd_simulate)

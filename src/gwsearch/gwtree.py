@@ -172,9 +172,35 @@ class PreorderTree:
         return f"PreorderTree(n={self.n}, max_degree={self.max_degree})"
 
 
-def _draw(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    # inverse-cdf sampling; rng.random() < 1 so the index never overruns
-    return np.searchsorted(cdf, rng.random(m), side="right")
+def _grow(dist: OffspringDistribution, rng: np.random.Generator, cap: int):
+    """Degree chunks of one unconditioned tree in preorder, or Overflow.
+
+    Draws in chunks of 32, 64, ... 2^16 (capped at the nodes left before
+    cap) and stops the moment the open-branch count returns to zero.  The
+    draw sequence, hence the tree, depends only on the generator, not on
+    chunk boundaries; the generator moves on by whole chunks.
+    """
+    chunks = []
+    pending = 1
+    total = 0
+    size = 32
+    while total < cap:
+        m = min(size, cap - total)
+        draws = dist.draw(rng, m)
+        walk = pending + np.cumsum(draws - 1)
+        hit = np.flatnonzero(walk == 0)
+        if hit.size:
+            chunks.append(draws[:hit[0] + 1])
+            return chunks
+        chunks.append(draws)
+        total += m
+        pending = int(walk[-1])
+        size = min(size * 2, 1 << 16)
+    return Overflow(count=total, pending=pending)
+
+
+def _tree(chunks) -> PreorderTree:
+    return PreorderTree(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
 
 
 def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_000_000):
@@ -186,31 +212,8 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    rng = as_generator(seed)
-    cdf = dist.cdf
-    chunks = []
-    pending = 1
-    total = 0
-    size = 32
-    while pending > 0 and total < cap:
-        m = min(size, cap - total)
-        draws = _draw(cdf, rng, m)
-        walk = pending + np.cumsum(draws - 1)
-        hit = np.nonzero(walk == 0)[0]
-        if hit.size:
-            k = int(hit[0])
-            chunks.append(draws[:k + 1])
-            total += k + 1
-            pending = 0
-            break
-        chunks.append(draws)
-        total += m
-        pending = int(walk[-1])
-        size = min(size * 2, 1 << 16)
-    if pending > 0:
-        return Overflow(count=total, pending=pending)
-    degrees = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    return PreorderTree(degrees)
+    got = _grow(dist, as_generator(seed), cap)
+    return got if isinstance(got, Overflow) else _tree(got)
 
 
 def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
@@ -220,7 +223,7 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     cap defaults to 100 * n_min; an attempt that overflows the cap counts as
     failed and is redrawn, so the returned law is the unconditional one
     restricted to n_min <= n <= cap.  Raises AttemptsExhausted past
-    max_attempts (None = keep trying).
+    max_attempts (None = keep trying).  Only the accepted tree is built.
     """
     if n_min < 1:
         raise ValueError("n_min must be >= 1")
@@ -234,9 +237,9 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     attempts = 0
     while True:
         attempts += 1
-        got = sample_unconditional(dist, rng, cap=cap)
-        if isinstance(got, PreorderTree) and got.n >= n_min:
-            return got, attempts
+        got = _grow(dist, rng, cap)
+        if not isinstance(got, Overflow) and sum(map(len, got)) >= n_min:
+            return _tree(got), attempts
         if max_attempts is not None and attempts >= max_attempts:
             raise AttemptsExhausted(attempts, f"tree with n >= {n_min}")
 
@@ -259,12 +262,11 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     rng = as_generator(seed)
-    cdf = dist.cdf
     target = n - 1
     attempts = 0
     while True:
         attempts += 1
-        draws = _draw(cdf, rng, n)
+        draws = dist.draw(rng, n)
         if int(draws.sum()) == target:
             prefix = np.cumsum(draws - 1)
             k = int(np.argmin(prefix)) + 1  # first position attaining the minimum

@@ -41,6 +41,11 @@ TRUNCATION_TAIL = 1e-13
 _CRIT_TOL_EXACT = 1e-12
 _CRIT_TOL_TRUNCATED = 1e-10
 
+# Offspring draws: buckets of the guide table (a power of two, so scaling a
+# uniform or the cdf by it is exact) and uniforms drawn per block.
+GUIDE_SIZE = 1 << 12
+DRAW_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class OffspringDistribution:
@@ -67,6 +72,52 @@ class OffspringDistribution:
         c = np.cumsum(self.pmf)
         c[-1] = 1.0  # guard the last bin against float round-off
         return c
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cdf * GUIDE_SIZE, guide table) for draw.
+
+        Entry j of the table is the number of scaled cdf entries <= j, which
+        is the draw for every u * GUIDE_SIZE in [j, j + 1) unless a scaled
+        entry lies strictly inside that bucket; such buckets hold -1.
+        """
+        scaled = self.cdf * GUIDE_SIZE  # a power of two: exact
+        edges = np.arange(GUIDE_SIZE + 1, dtype=float)
+        at_or_below = np.searchsorted(scaled, edges, side="right")
+        table = at_or_below[:-1]
+        table[np.searchsorted(scaled, edges[1:], side="left") != table] = -1
+        scaled.flags.writeable = False
+        table.flags.writeable = False
+        return scaled, table
+
+    def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m i.i.d. offspring counts by inversion of m uniforms from rng.
+
+        Equal, value for value, to
+        ``np.searchsorted(self.cdf, rng.random(m), side="right")`` and
+        consumes the same m doubles, so every seed gives the same draws.  A
+        guide table (Chen and Asau 1974) answers each uniform with one
+        lookup; only uniforms in a bucket that holds a cdf breakpoint, about
+        max_degree / GUIDE_SIZE of them, are searched.
+        """
+        if m <= DRAW_BLOCK:  # the common small call: one block, no copy
+            return self._invert(rng.random(m))
+        out = np.empty(m, dtype=np.intp)
+        for start in range(0, m, DRAW_BLOCK):
+            block = self._invert(rng.random(min(DRAW_BLOCK, m - start)))
+            out[start:start + block.size] = block
+        return out
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """Draws for the uniforms u, which are scaled in place."""
+        scaled, table = self._guide
+        u *= GUIDE_SIZE  # exact, and < GUIDE_SIZE since u < 1
+        out = table[u.astype(np.intp)]
+        # argmin: a far cheaper call than min() on the many short draws
+        if u.size and out[out.argmin()] < 0:  # some u fell in breakpoint buckets
+            redo = np.flatnonzero(out < 0)
+            out[redo] = np.searchsorted(scaled, u[redo], side="right")
+        return out
 
     @property
     def sigma(self) -> float:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import numbers
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -218,8 +219,10 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     """Discrete-event simulation of W workers sharing the job list.
 
     Each node evaluation takes one time unit and each job start costs
-    restart_cost on top.  An idle worker takes the next job the moment the
-    list is nonempty; simultaneous events resolve by ascending worker index.
+    restart_cost on top: an int, a float, or a fractions.Fraction such as
+    Fraction(1, 3), taken at its exact value.  An idle worker takes the next
+    job the moment the list is nonempty; simultaneous events resolve by
+    ascending worker index.
     idle_time counts worker-units spent waiting on an empty list, including
     workers that never receive a job; speedup compares against the n - 1
     units a single uninterrupted traversal would need.
@@ -234,17 +237,24 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     horizon = tree.n - 1 + tree.n * restart_cost
     if horizon > sys.float_info.max or workers > sys.float_info.max / max(horizon, 1):
         raise ValueError("workers or restart_cost too large: times overflow a float")
+    # An event time is units + starts * restart_cost, where units and starts
+    # count the evaluations and job starts on the chain of jobs behind it.
+    # Events are ordered by the integer key units * q + starts * p, with
+    # restart_cost = p / q exactly, so events simultaneous in exact
+    # arithmetic tie whatever the cost.  Reported times are computed afresh
+    # from units and starts in floats (ints for an integral cost), which
+    # keeps the makespan within evaluations + restart_overhead.
+    if isinstance(restart_cost, numbers.Integral):
+        cost, p, q = restart_cost, int(restart_cost), 1
+    else:
+        cost = float(restart_cost)
+        p, q = restart_cost.as_integer_ratio()
     ext = tree.extent
     jobs, pop = _job_list(policy)
     # A run has at most n jobs and the lowest idle index always goes first,
     # so workers n, n+1, ... never start one: leave them out of the heap.
     idle = list(range(min(workers, tree.n)))  # ascending, hence a heap
-    # An event time is units + starts * restart_cost, where units and starts
-    # count the evaluations and job starts on the chain of jobs behind it.
-    # Computing it afresh from those integers, rather than summing floats
-    # along the chain, keeps simultaneous events equal and the makespan
-    # within evaluations + restart_overhead for non-integral costs.
-    busy = []  # (finish time, worker index, units, starts, nodes to push)
+    busy = []  # (finish key, worker index, units, starts, nodes to push)
     now = units = starts = 0
     started = restarts = evaluations = 0
     while True:
@@ -255,7 +265,7 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
             evaluations += generated
             restarts += len(unexplored)
             u, k = units + generated, starts + 1
-            heapq.heappush(busy, (u + k * restart_cost, w, u, k, unexplored))
+            heapq.heappush(busy, (u * q + k * p, w, u, k, unexplored))
         if not busy:
             break
         now, _, units, starts, _ = busy[0]
@@ -263,12 +273,12 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
             _, w, _, _, unexplored = heapq.heappop(busy)
             jobs.extend(unexplored)
             heapq.heappush(idle, w)
-    makespan = now
-    overhead = restart_cost * started
+    makespan = units + starts * cost
+    overhead = cost * started
     idle_time = (workers * units - evaluations
-                 + (workers * starts - started) * restart_cost)
+                 + (workers * starts - started) * cost)
     speedup = evaluations / makespan if makespan > 0 else 1.0
-    return SimReport(workers=workers, restart_cost=restart_cost, jobs=started,
+    return SimReport(workers=workers, restart_cost=cost, jobs=started,
                      restarts=restarts, evaluations=evaluations, makespan=makespan,
                      idle_time=idle_time, restart_overhead=overhead, speedup=speedup)
 

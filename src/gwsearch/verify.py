@@ -210,7 +210,7 @@ def _check_structural_invariants(rng):
             n = int(rng.integers(2, 51))
             if spec == "full_binary" and n % 2 == 0:
                 continue
-            draws = np.searchsorted(dist.cdf, rng.random(n), side="right")
+            draws = dist.draw(rng, n)
             if draws.sum() != n - 1:
                 continue
             valid = []

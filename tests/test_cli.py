@@ -152,6 +152,21 @@ def test_simulate(tree25_path, tmp_path, capsys):
         assert "too large: times overflow a float" in capsys.readouterr().err
 
 
+def test_simulate_exact_restart_costs(tree25_path, capsys):
+    def simulate(cost):
+        assert run_cli("simulate", "--tree", tree25_path, "--budget", "5",
+                       "--workers", "3", "--restart-cost", cost) == 0
+        return capsys.readouterr().out
+
+    assert simulate("2.5") == simulate("5/2")
+    assert simulate("0.1") == simulate("1/10")
+    assert "restart_cost=0.333333 " in simulate("1/3")
+    for cost in ("-1", "-1/3", "1/0", "1/-3", "abc", "1e-99999", "9" * 5000, ""):
+        assert run_cli("simulate", "--tree", tree25_path, "--budget", "5",
+                       f"--restart-cost={cost}") == 1
+        assert "restart_cost must be >= 0 and finite" in capsys.readouterr().err
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     args = ("sweep", "--dist", "catalan", "--n-min", "200",
             "--budget", "5,17", "--runs", "2", "--seed", "9")

@@ -1,10 +1,14 @@
 """Master loop, adaptive budgets, and the parallel-worker simulation."""
 
+import heapq
 import math
+from fractions import Fraction
 
 import pytest
 
 from gwsearch import scheduler
+from gwsearch.gwtree import sample_at_least
+from gwsearch.offspring import parse_spec
 from gwsearch.scheduler import (run_adaptive, run_single, series_export,
                                 simulate_parallel, write_sim_csv,
                                 write_summary_csv)
@@ -215,3 +219,59 @@ def test_write_sim_csv(tree25, tmp_path):
 
 def test_policies_tuple():
     assert scheduler.POLICIES == ("lifo", "fifo")
+
+
+def exact_replay(tree, budget, workers, cost):
+    """simulate_parallel's event loop in Fraction time, summed along chains."""
+    jobs = [0]
+    idle = list(range(workers))
+    busy = []  # (finish time, worker, nodes to push)
+    now = Fraction(0)
+    started = 0
+    while True:
+        while jobs and idle:
+            w = heapq.heappop(idle)
+            generated, unexplored = scheduler._call_extent(tree.extent, jobs.pop(), budget)
+            started += 1
+            heapq.heappush(busy, (now + cost + generated, w, unexplored))
+        if not busy:
+            return now, started
+        now = busy[0][0]
+        while busy and busy[0][0] == now:
+            _, w, unexplored = heapq.heappop(busy)
+            jobs.extend(unexplored)
+            heapq.heappush(idle, w)
+
+
+def test_simulate_exact_rational_costs():
+    dist = parse_spec("ternary_uniform")
+    trees = [sample_at_least(dist, 2000, seed=seed, cap=20_000)[0] for seed in range(3)]
+    configs = mismatches = 0
+    for tree in trees:
+        for budget in (20, 50):
+            for workers in (3, 8, 25):
+                # floats are taken at their exact binary value
+                for cost in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 3),
+                             Fraction(1, 10), 1 / 3, 0.1):
+                    makespan, jobs = exact_replay(tree, budget, workers, Fraction(cost))
+                    report = simulate_parallel(tree, budget, workers, restart_cost=cost)
+                    configs += 1
+                    # a split or merged tie moves the makespan by far more
+                    # than the float rounding of the reported time
+                    mismatches += (report.jobs != jobs or not math.isclose(
+                        report.makespan, makespan, rel_tol=1e-12))
+                    assert report.restart_cost == float(cost)
+    assert (configs, mismatches) == (108, 0)
+
+
+def test_simulate_cost_types_agree(tree25):
+    # an int, its float, and its Fraction give the same schedule; only an int
+    # cost keeps integer times
+    for cost in (0, 2, 7):
+        whole = simulate_parallel(tree25, 5, 3, restart_cost=cost)
+        for same in (float(cost), Fraction(cost)):
+            other = simulate_parallel(tree25, 5, 3, restart_cost=same)
+            assert (other.makespan, other.idle_time, other.jobs) == (
+                whole.makespan, whole.idle_time, whole.jobs)
+            assert isinstance(other.makespan, float)
+        assert isinstance(whole.makespan, int)
