@@ -54,6 +54,20 @@ def _budget_list(text: str):
     return values
 
 
+def _runs(text: str) -> int:
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError("runs must be >= 1")
+    return runs
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # numpy rejects it in gen, and substream would mask it in sweep
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return seed
+
+
 # a non-negative decimal such as 2.5 or 1e-3, or a ratio p/q such as 1/3; the
 # exponent is bounded so that the exact value is cheap to build
 _COST = re.compile(r"\s*(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d{1,3})?)\s*")
@@ -169,7 +183,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", required=True)
     p.add_argument("--n", type=int, help="exact number of nodes")
     p.add_argument("--n-min", type=int, help="minimum number of nodes")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="tree file; sidecar <out>.meta records n/seed/attempts")
     p.add_argument("--max-attempts", type=int, default=None)
     p.add_argument("--cap", type=int, default=None,
@@ -189,8 +203,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--budget", type=_budget_list, required=True,
                    help="comma-separated budgets, e.g. 50,500,5000")
-    p.add_argument("--runs", type=int, default=1, help="trees per sweep")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--runs", type=_runs, default=1, help="trees per sweep")
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--policy", choices=scheduler.POLICIES, default="lifo")
     p.add_argument("--cap", type=int, default=None,
                    help="abort any single attempt beyond this many nodes "

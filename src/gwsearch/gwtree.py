@@ -93,43 +93,25 @@ class PreorderTree:
         return int(self.degrees.max())
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        """Sorted (level, position) keys of the walk's down-steps.
-
-        Down-steps are unit, so the walk S first reaches a lower level at a
-        position u entered right after a leaf; the keys are S[u] * (n + 2) + u
-        for those positions, sorted, which orders them by (level, position).
-        """
-        down = np.flatnonzero(self.degrees == 0) + 1
-        keys = np.multiply(self._walk[down], self.n + 2, dtype=np.int64)
-        keys += down
-        keys.sort()
-        keys.flags.writeable = False
-        return keys
-
-    def _first_hits(self, levels, after) -> np.ndarray:
-        """For each query, the first position u > after with S[u] == level.
-
-        Needs S[after] > level: the walk then first reaches level by a
-        down-step, so u is the first key past (level, after).
-        """
-        base = self.n + 2
-        keys = self._keys
-        queries = np.multiply(levels, base, dtype=np.int64)
-        queries += after
-        hits = keys[np.searchsorted(keys, queries, side="right")]
-        hits %= base  # numpy modulo keeps the divisor's sign: safe at level -1
-        return hits
-
-    @cached_property
     def extent(self) -> np.ndarray:
         """Subtree sizes for every node, computed in one vectorized pass.
 
-        The subtree of v ends at the first u > v with S[u] = S[v] - 1, a
-        single searchsorted over the (level, position) keys.
+        The subtree of v ends at the first u > v with S[u] = S[v] - 1.
+        Down-steps are unit, so the walk first reaches a lower level at a
+        position entered right after a leaf.  The keys S[u] * (n + 2) + u of
+        those positions, sorted, order them by (level, position), and u is
+        the first key past (S[v] - 1, v): one searchsorted for all v.
         """
+        base = self.n + 2
+        down = np.flatnonzero(self.degrees == 0) + 1
+        keys = np.multiply(self._walk[down], base, dtype=np.int64)
+        keys += down
+        keys.sort()
         pos = np.arange(self.n, dtype=np.int64)
-        ext = self._first_hits(self._walk[:-1] - 1, pos)
+        queries = np.multiply(self._walk[:-1] - 1, base, dtype=np.int64)
+        queries += pos
+        ext = keys[np.searchsorted(keys, queries, side="right")]
+        ext %= base  # numpy modulo keeps the divisor's sign: safe at level -1
         ext -= pos
         ext.flags.writeable = False
         return ext

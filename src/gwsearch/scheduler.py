@@ -12,15 +12,17 @@ which subtree roots exceed the budget.
 A search call is computed in closed form on the preorder layout: the
 explored prefix of a call at s is the slots s+1 .. s+b-1, and what remains
 of the subtree interval is tiled left to right by the unexplored subtrees.
-run_single builds every call of a fixed-budget run as one job table, a FIFO
-generation at a time with a few numpy operations each; both pop orders
-follow from the table (see _job_table and run_single).  run_adaptive and
+So the call at s explores exactly the block [s, s + min(b, ext[s])), the
+blocks of a run tile [0, n), and run_single reads a fixed-budget run off
+that tiling: one chase through the extents finds the starts, and both pop
+orders and their list sizes follow from a sort.  run_adaptive and
 simulate_parallel keep one call at a time (_call_extent, repeated extent
 jumps, O(restarts) per call): an adaptive budget depends on the list size
-the loop has reached, and a simulator that replayed the table inside its
-event loop measured no faster.  run_single(engine="oracle") drives the
-two-stack search through tree.adj, node by node, in the same sequential
-loop as run_adaptive; it is the reference the job table is tested against.
+the loop has reached, and a simulator that replayed precomputed calls
+inside its event loop measured no faster.  run_single(engine="oracle")
+drives the two-stack search through tree.adj, node by node, in the same
+sequential loop as run_adaptive; it is the reference the tiling is tested
+against.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -34,6 +36,7 @@ import heapq
 import math
 import numbers
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -128,47 +131,19 @@ def _master_loop(tree: PreorderTree, budget: int, low_mark: float,
                        list_sizes=sizes, budgets=budgets)
 
 
-def _job_table(tree: PreorderTree, b: int):
-    """Every call of a fixed-budget run, in FIFO pop order.
-
-    A FIFO run pops its jobs one generation (wave) at a time, so the table
-    is built a wave at a time.  A call at s with ext[s] > b returns
-    k = S[s+b] - S[s] + 1 roots: s + b, then the first hits of the levels
-    S[s+b] - 1 .. S[s] after s + b.  A wave costs a few numpy calls
-    whatever its width, so a run costs O(n) array work plus one wave per
-    job generation.  Returns the starts, the root counts k, and each job's
-    LIFO list size: its parent's plus its 0-based push rank among its
-    siblings, since a LIFO run pops a job when the siblings pushed after it
-    have drained.
-    """
-    ext = tree.extent
-    walk = tree._walk
-    table = []  # (3, jobs) arrays of starts, root counts and LIFO list sizes
-    starts = sizes = np.zeros(1, dtype=np.int64)
-    while starts.size:
-        cut = np.flatnonzero(ext[starts] > b)
-        s = starts[cut]
-        top = walk[s + b].astype(np.int64)
-        k = top - walk[s] + 1
-        counts = np.zeros_like(starts)
-        counts[cut] = k
-        table.append(np.stack([starts, counts, sizes]))
-        rank = np.arange(int(k.sum())) - np.repeat(np.cumsum(k) - k, k)
-        starts = np.repeat(s + b, k)
-        later = rank > 0
-        starts[later] = tree._first_hits(np.repeat(top, k)[later] - rank[later],
-                                         starts[later])
-        sizes = np.repeat(sizes[cut], k) + rank
-    return np.concatenate(table, axis=1)
-
-
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo",
                engine: str = "extent") -> SearchStats:
     """Run the master loop at a fixed budget until the job list drains.
 
-    engine "extent" builds the run's job table from subtree extents; "oracle"
-    runs the budgeted search itself over tree.adj, call by call, as a
-    reference.
+    engine "extent" reads the run off the preorder block tiling: the call at
+    s explores [s, s + min(b, ext[s])), and these blocks tile [0, n), so the
+    job starts are the orbit of 0 under s -> s + min(b, ext[s]).  A call with
+    ext[s] > b returns k = S[s+b] - S[s] + 1 roots (s + b, then one per level
+    its walk climbs back down).  FIFO pops jobs by depth, the number of job
+    subtrees enclosing the start; LIFO pops by subtree end, latest first.
+    In either pop order the list size after the i-th pop is the roots pushed
+    before it minus i.  engine "oracle" runs the budgeted search itself over
+    tree.adj, call by call, as a reference.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -180,14 +155,32 @@ def run_single(tree: PreorderTree, budget: int, policy: str = "lifo",
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     b = min(budget, tree.n)  # larger budgets cut no subtree either
-    starts, roots, sizes = _job_table(tree, b)
-    # a call that cuts its subtree (k > 0) generates b - 1 + k nodes
+    ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
+    starts = array("q")
+    push = starts.append
+    s, n = 0, tree.n
+    while s < n:  # one step per call: the hot loop of a small budget
+        push(s)
+        e = ext[s]
+        s += b if e > b else e
+    starts = np.frombuffer(starts, dtype=np.int64)
     extents = tree.extent[starts]
-    evaluations = int(np.where(roots > 0, b - 1 + roots, extents - 1).sum())
-    if policy == "fifo":
-        sizes = np.cumsum(roots) - roots - np.arange(roots.size)
-    else:  # LIFO pops by subtree end, latest first, then outermost first
-        sizes = sizes[np.lexsort((starts, -(starts + extents)))]
+    cut = extents > b
+    roots = np.zeros_like(starts)
+    at = starts[cut]
+    roots[cut] = tree._walk[at + b].astype(np.int64) - tree._walk[at] + 1
+    # a call that cuts its subtree generates b - 1 + k nodes
+    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum())
+    ends = starts + extents
+    # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
+    if policy == "fifo":  # by job depth: the job subtrees enclosing the start
+        depth = np.arange(starts.size) - np.searchsorted(np.sort(ends), starts,
+                                                          side="right")
+        order = np.argsort(depth, kind="stable")
+    else:
+        order = np.argsort(-ends, kind="stable")
+    pushed = roots[order]
+    sizes = np.cumsum(pushed) - pushed - np.arange(pushed.size)
     return SearchStats(n=tree.n, policy=policy, restarts=int(roots.sum()),
                        calls=roots.size, evaluations=evaluations,
                        list_sizes=sizes.tolist(), budgets=[budget] * roots.size)

@@ -1,10 +1,10 @@
 """Acceptance suite: eight numbered checks of the search and its restart law.
 
 Each check guards one verified property of the package.  The fast tier runs
-the deterministic fixtures and exact oracles (checks 1-4, 6, 7) in 9-10 s
-on a 2-core x86_64 VM.  The full tier, 17-18 s there, adds the million-node
-sweeps (checks 5, 8), which sample large trees, run budgeted searches on
-them, and compare the observed restart counts with the exact expected work.
+the deterministic fixtures and exact oracles (checks 1-4, 6, 7).  The full
+tier adds the million-node sweeps (checks 5, 8), which sample large trees,
+run budgeted searches on them, and compare the observed restart counts with
+the exact expected work.
 
 Checks 1 and 7 pin the 25-node example tree used throughout the docs: its
 search traces, restart counts, job-list sizes, and simulated makespans are

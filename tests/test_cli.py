@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
+import hashlib
 import pathlib
 import shutil
 import subprocess
@@ -184,6 +185,44 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     assert all(row.startswith(b"catalan,") for row in rows[1:])
 
 
+# SHA-256 of outputs frozen on a sampled tree; a scheduler refactor must keep
+# them byte for byte.  The tree (gen ternary_uniform --n-min 20000 --seed 4)
+# has 237,892 nodes, so FIFO and LIFO pop orders differ at every budget.
+FROZEN_TRACES = {
+    ("lifo", 1): "45484626851e20124eb557bb6922463c837d29630411525b3907b1e9acbbb236",
+    ("lifo", 7): "99729412d373106926c7a7f41649c3e7f6d1ef97ef1f0d5af08b1f4d4e1140d9",
+    ("lifo", 50): "c14602c802e33e235abf8ac9017ea57adb3574036e3d6e7ef42986d83f4a467e",
+    ("lifo", 500): "6d0020cfe8c182d37b710f9a920c168a2c676771b48f132719a05fe858b5a19d",
+    ("fifo", 1): "c3581e517303663e42810f9dadb6c8ceec4989e31e63b1bc10481492d1a1cdd4",
+    ("fifo", 7): "0575f70f4d96ae275c11fb588552661d627bc9648a70172cd2946f45938729b8",
+    ("fifo", 50): "d292394332aa0823bf3724c67b2af2fa701ecc82007035f6e15814ae81e1d118",
+    ("fifo", 500): "647ae90549af1317805b8b8767abfeb67fc343f4c78aa80e7c5dade455d5f997",
+}
+FROZEN_FIFO_SWEEP = "e7531b5a4d17fec3776cecb9885aefc02681779be550e63cfcedaf05a09edb7b"
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_frozen_outputs_on_a_sampled_tree(tmp_path, capsys):
+    tree = tmp_path / "t.tree"
+    assert run_cli("gen", "--dist", "ternary_uniform", "--n-min", "20000",
+                   "--seed", "4", "--out", str(tree)) == 0
+    assert (tmp_path / "t.tree.meta").read_text() == \
+        "n=237892 seed=4 attempts=117\n"
+    trace = tmp_path / "trace.csv"
+    for (policy, budget), digest in FROZEN_TRACES.items():
+        assert run_cli("search", "--tree", str(tree), "--budget", str(budget),
+                       "--policy", policy, "--trace", str(trace)) == 0
+        assert sha256(trace) == digest, (policy, budget)
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--dist", "ternary_uniform", "--n-min", "2000",
+                   "--budget", "5,50", "--runs", "2", "--seed", "3",
+                   "--policy", "fifo", "--out", str(sweep)) == 0
+    assert sha256(sweep) == FROZEN_FIFO_SWEEP
+
+
 def test_sweep_cap_defaults_to_the_samplers(monkeypatch):
     caps = []
     sample = cli.gwtree.sample_at_least
@@ -203,6 +242,22 @@ def test_empty_budget_list_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as info:
         run_cli("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "")
     assert info.value.code == 1
+
+
+def test_runs_and_seed_are_checked_when_parsed(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    sweep = ("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "5",
+             "--out", out)
+    cases = [(sweep + ("--runs", runs), "runs must be >= 1") for runs in ("0", "-2")]
+    cases += [(sweep + ("--seed", "-1"), "seed must be >= 0"),
+              (("gen", "--dist", "catalan", "--n", "5", "--seed", "-1",
+                "--out", out), "seed must be >= 0")]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 1
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_budget_past_exact_law_fails_before_sampling(monkeypatch, capsys):

@@ -41,17 +41,17 @@ def test_every_node_evaluated_once(degrees, budget):
     assert stats.calls == stats.restarts + 1
 
 
-def check_job_table(tree, budget, oracle=True):
-    """run_single's job table against the sequential loops, field by field.
+def check_block_tiling(tree, budget, oracle=True):
+    """run_single's block tiling against the sequential loops, field by field.
 
     run_adaptive with marks (0, inf) is the fixed-budget sequential loop over
     _call_extent; the oracle engine runs bdfs over tree.adj in that loop.
     """
     for policy in ("lifo", "fifo"):
-        table = run_single(tree, budget, policy=policy)
-        assert table == run_adaptive(tree, budget, 0, math.inf, 2, policy)
+        tiled = run_single(tree, budget, policy=policy)
+        assert tiled == run_adaptive(tree, budget, 0, math.inf, 2, policy)
         if oracle:
-            assert table == run_single(tree, budget, policy=policy, engine="oracle")
+            assert tiled == run_single(tree, budget, policy=policy, engine="oracle")
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30))
@@ -62,14 +62,31 @@ def test_restarts_policy_and_engine_invariant(degrees, budget):
             for p in ("lifo", "fifo") for e in ("extent", "oracle")]
     assert len({s.restarts for s in runs}) == 1
     assert len({s.evaluations for s in runs}) == 1
-    check_job_table(tree, budget)
+    check_block_tiling(tree, budget)
 
 
 @pytest.mark.parametrize("spec", ["ternary_uniform", "harmonic:10", "catalan"])
-def test_job_table_on_sampled_trees(spec):
+def test_block_tiling_on_sampled_trees(spec):
     tree, _ = sample_at_least(parse_spec(spec), 10_000, seed=0, cap=20_000)
     for budget in (1, 7, 50, 500):
-        check_job_table(tree, budget, oracle=False)
+        check_block_tiling(tree, budget, oracle=False)
+
+
+TALL = 100_000
+
+
+@pytest.mark.parametrize("shape", ["path", "broom"])
+def test_block_tiling_on_tall_trees(shape):
+    # a path has one job per level at b = 1; the broom's star ends it with
+    # a call that pushes TALL / 2 roots at once
+    if shape == "path":
+        degrees = [1] * (TALL - 1) + [0]
+    else:
+        half = TALL // 2
+        degrees = [1] * (half - 1) + [half] + [0] * half
+    tree = PreorderTree(degrees)
+    for budget in (1, 50):
+        check_block_tiling(tree, budget, oracle=False)
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30),
