@@ -8,7 +8,7 @@ exactly once overall, and the number of extra calls is the restart count R.
 """
 
 from gwsearch.bdfs import bdfs
-from gwsearch.scheduler import run_single, series_export
+from gwsearch.scheduler import run_single
 from gwsearch.verify import example_tree
 
 
@@ -30,7 +30,7 @@ def main():
     print("master loop at budget 13 (lifo job list):")
     stats = run_single(tree, 13)
     print(f"{'call':>5} {'list size after pop':>20} {'budget':>7}")
-    for call, size, budget in series_export(stats):
+    for call, (size, budget) in enumerate(zip(stats.list_sizes, stats.budgets), 1):
         print(f"{call:>5} {size:>20} {budget:>7}")
     print(f"restarts R = {stats.restarts}, calls = {stats.calls}, "
           f"evaluations = {stats.evaluations} (= n - 1)")

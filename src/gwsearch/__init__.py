@@ -25,17 +25,14 @@ from .gwtree import (
     sample_unconditional,
     write_tree,
 )
-from .bdfs import BudgetedSearchOutput, bdfs, write_records
+from .bdfs import BudgetedSearchOutput, bdfs
 from .scheduler import (
     POLICIES,
     SearchStats,
     SimReport,
     run_adaptive,
     run_single,
-    series_export,
     simulate_parallel,
-    write_sim_csv,
-    write_summary_csv,
 )
 from .analysis import (
     MuEstimate,
@@ -50,7 +47,6 @@ from .analysis import (
     size_pmf_exact,
     tail_asymptotic,
     theorem1_check,
-    write_verification_csv,
 )
 from .seeds import substream
 from .verify import CriterionResult, run_acceptance
@@ -88,16 +84,11 @@ __all__ = [
     "sample_at_least",
     "sample_exact",
     "sample_unconditional",
-    "series_export",
     "simulate_parallel",
     "size_pmf_asymptotic",
     "size_pmf_exact",
     "substream",
     "tail_asymptotic",
     "theorem1_check",
-    "write_records",
-    "write_sim_csv",
-    "write_summary_csv",
     "write_tree",
-    "write_verification_csv",
 ]

@@ -13,7 +13,8 @@ critical law with variance sigma^2 and span d:
 A complete budgeted run restarts once per unexplored subtree root, and
 R_n / n converges to 1 / E min(N, b), so R_n * mu_b / n -> 1 and the
 normalized count R_n / (sigma n) approaches sqrt(pi / (8 b)).
-theorem1_check packages those two ratios for a finished run.
+theorem1_check packages those two ratios for a finished run as a
+Theorem1Report; the sweep CSV built from it is written by the CLI.
 
 Large-n size asymptotics: P{N = n} ~ d / (sigma sqrt(2 pi) n^{3/2}) on the
 lattice n = 1 mod d, and P{N >= n} ~ sqrt(2 / (pi n sigma^2)).
@@ -29,7 +30,6 @@ asserted with == rather than a tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -369,18 +369,3 @@ def enumerate_small_trees(dist: OffspringDistribution, n_max: int) -> SizeLaw:
     tail = one - sum(totals)
     return SizeLaw(t_max=n_max, pmf=tuple(totals), tail=tail)
 
-
-def write_verification_csv(rows, path) -> None:
-    """Write (dist_name, Theorem1Report) pairs as a verification report CSV.
-
-    Columns: dist,b,n,R,rho_table,rho_exact,estimate_sqrt_pi_over_8b.
-    Floats carry 6 significant digits.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dist", "b", "n", "R", "rho_table", "rho_exact",
-                         "estimate_sqrt_pi_over_8b"])
-        for name, report in rows:
-            writer.writerow([name, report.budget, report.n, report.restarts,
-                             f"{report.rho_table:.6g}", f"{report.rho_exact:.6g}",
-                             f"{report.estimate:.6g}"])

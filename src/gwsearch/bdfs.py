@@ -13,6 +13,7 @@ Flag-True nodes are exactly the roots of the unexplored subtrees: re-running
 the search on each of them (same b, any order) eventually outputs every node
 of the original subtree exactly once.  A search that never exhausts b
 outputs the whole subtree minus the start, all False, in preorder.
+The records are returned in a BudgetedSearchOutput, never written out.
 """
 
 from __future__ import annotations
@@ -91,9 +92,3 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
             break
     return BudgetedSearchOutput(start=start, budget=budget, records=tuple(records))
 
-
-def write_records(output: BudgetedSearchOutput, path) -> None:
-    """Record stream, one ``node_id flag`` line per record (flag 0/1)."""
-    with open(path, "w") as fh:
-        for node, flag in output.records:
-            fh.write(f"{node} {int(flag)}\n")

@@ -8,6 +8,10 @@ Subcommands
     simulate  replay one run on W simulated workers with restart cost r
     verify    run the acceptance checks (fast or full)
 
+search --out/--trace, simulate --out and sweep --out are CSV files written
+here, by _write_csv; the library returns dataclasses and writes no CSV.
+Floats in the output carry 6 significant digits (_fmt).
+
 A single 64-bit --seed drives every subcommand; sweeps expand it into one
 substream per sampled tree (indices 0, 1, ...) via the splitmix derivation
 in `seeds.substream`, and take mu_b from the exact size law, so reruns with
@@ -29,11 +33,11 @@ Examples:
 """
 
 import argparse
+import csv
 import re
 import sys
 
 from . import analysis, gwtree, offspring, scheduler, verify
-from .scheduler import _fmt
 from .seeds import substream
 
 
@@ -46,7 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget_list(text: str):
-    values = [int(part) for part in text.split(",") if part]
+    try:
+        values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
     # checked before any tree is sampled; the exact size law stops at DP_LIMIT
     if not values or not all(1 <= b <= analysis.DP_LIMIT for b in values):
         raise argparse.ArgumentTypeError(
@@ -54,16 +61,24 @@ def _budget_list(text: str):
     return values
 
 
+def _integer(text: str, name: str) -> int:
+    # argparse would name the private type function in a plain ValueError
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{name} must be an integer") from None
+
+
 def _runs(text: str) -> int:
-    runs = int(text)
+    runs = _integer(text, "runs")
     if runs < 1:
         raise argparse.ArgumentTypeError("runs must be >= 1")
     return runs
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:  # numpy rejects it in gen, and substream would mask it in sweep
+    seed = _integer(text, "seed")
+    if seed < 0:  # numpy would reject it in gen with a message naming no flag
         raise argparse.ArgumentTypeError("seed must be >= 0")
     return seed
 
@@ -84,6 +99,19 @@ def _restart_cost(text: str):
     raise ValueError(
         "restart_cost must be >= 0 and finite: a decimal such as 2.5 or a "
         f"ratio p/q such as 1/3, got {text!r}")
+
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        return f"{x:.6g}"
+    return str(x)
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_dist(args) -> int:
@@ -120,9 +148,12 @@ def cmd_search(args) -> int:
     print(f"n={stats.n} b={args.budget} policy={stats.policy} R={stats.restarts} "
           f"calls={stats.calls} evaluations={stats.evaluations}")
     if args.out:
-        scheduler.write_summary_csv(stats, args.out)
+        _write_csv(args.out, ["n", "b", "policy", "R", "calls", "evaluations"],
+                   [[stats.n, args.budget, stats.policy, stats.restarts,
+                     stats.calls, stats.evaluations]])
     if args.trace:
-        scheduler.series_export(stats, args.trace)
+        _write_csv(args.trace, ["call", "list_size", "budget"],
+                   zip(range(1, stats.calls + 1), stats.list_sizes, stats.budgets))
     return 0
 
 
@@ -137,13 +168,16 @@ def cmd_sweep(args) -> int:
         for budget in args.budget:
             stats = scheduler.run_single(tree, budget, policy=args.policy)
             report = analysis.theorem1_check(stats.restarts, n, dist, budget)
-            rows.append((args.dist, report))
+            rows.append([args.dist, report.budget, report.n, report.restarts,
+                         _fmt(report.rho_table), _fmt(report.rho_exact),
+                         _fmt(report.estimate)])
             print(f"{args.dist} b={budget} n={n} R={stats.restarts} "
                   f"rho_table={report.rho_table:.6g} rho_exact={report.rho_exact:.6g} "
                   f"estimate={report.estimate:.6g}")
         del tree
     if args.out:
-        analysis.write_verification_csv(rows, args.out)
+        _write_csv(args.out, ["dist", "b", "n", "R", "rho_table", "rho_exact",
+                              "estimate_sqrt_pi_over_8b"], rows)
     return 0
 
 
@@ -159,7 +193,11 @@ def cmd_simulate(args) -> int:
           f"restart_overhead={_fmt(report.restart_overhead)} "
           f"speedup={_fmt(report.speedup)}")
     if args.out:
-        scheduler.write_sim_csv(report, args.out)
+        _write_csv(args.out, ["workers", "restart_cost", "jobs", "makespan",
+                              "idle_time", "restart_overhead", "speedup"],
+                   [[report.workers, _fmt(report.restart_cost), report.jobs,
+                     _fmt(report.makespan), _fmt(report.idle_time),
+                     _fmt(report.restart_overhead), _fmt(report.speedup)]])
     return 0
 
 

@@ -27,11 +27,13 @@ against.
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
 any reported aggregate, so jobs execute atomically in sim time.
+
+Runs return SearchStats and SimReport and write no files; the search and
+simulate CSVs are formatted by the CLI.
 """
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 import numbers
@@ -275,41 +277,3 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
                      restarts=restarts, evaluations=evaluations, makespan=makespan,
                      idle_time=idle_time, restart_overhead=overhead, speedup=speedup)
 
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
-
-
-def series_export(stats: SearchStats, path=None):
-    """Per-call (call, list_size, budget) rows; optionally written as CSV."""
-    rows = [(i + 1, size, b)
-            for i, (size, b) in enumerate(zip(stats.list_sizes, stats.budgets))]
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["call", "list_size", "budget"])
-            writer.writerows(rows)
-    return rows
-
-
-def write_summary_csv(stats: SearchStats, path) -> None:
-    """One-row summary: n,b,policy,R,calls,evaluations (b = first call's budget)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "b", "policy", "R", "calls", "evaluations"])
-        writer.writerow([stats.n, stats.budgets[0] if stats.budgets else 0,
-                         stats.policy, stats.restarts, stats.calls,
-                         stats.evaluations])
-
-
-def write_sim_csv(report: SimReport, path) -> None:
-    """One-row simulation summary."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["workers", "restart_cost", "jobs", "makespan",
-                         "idle_time", "restart_overhead", "speedup"])
-        writer.writerow([report.workers, _fmt(report.restart_cost), report.jobs,
-                         _fmt(report.makespan), _fmt(report.idle_time),
-                         _fmt(report.restart_overhead), _fmt(report.speedup)])

@@ -11,8 +11,7 @@ from gwsearch import analysis, offspring
 from gwsearch.analysis import (DP_LIMIT, SizeLaw, enumerate_small_trees,
                                mu_analytic, mu_exact, mu_mc, rational_pmf,
                                size_pmf_asymptotic, size_pmf_exact,
-                               tail_asymptotic, theorem1_check,
-                               write_verification_csv)
+                               tail_asymptotic, theorem1_check)
 
 CATALAN = offspring.make_builtin("catalan")
 FULL_BINARY = offspring.make_builtin("full_binary")
@@ -96,6 +95,15 @@ def test_short_size_laws_leave_numpy_fft_unloaded(child_env):
     code = ("import sys, gwsearch; "
             "gwsearch.mu_exact(gwsearch.parse_spec('ternary_uniform'), 500); "
             "print('numpy.fft' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_library_writes_no_csv(child_env):
+    # every CSV is an output of the CLI, which alone imports csv
+    code = "import sys, gwsearch; print('csv' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -235,12 +243,3 @@ def test_theorem1_check_dispatch(monkeypatch):
     monkeypatch.setattr(analysis, "_progeny_series", no_series)
     with pytest.raises(ValueError, match="above the convolution limit"):
         theorem1_check(1000, 10 ** 6, CATALAN, DP_LIMIT + 1)
-
-
-def test_write_verification_csv(tmp_path):
-    rep = theorem1_check(5, 25, CATALAN, 13)
-    path = tmp_path / "verification.csv"
-    write_verification_csv([("catalan", rep)], path)
-    assert path.read_bytes() == (
-        b"dist,b,n,R,rho_table,rho_exact,estimate_sqrt_pi_over_8b\r\n"
-        b"catalan,13,25,5,0.282843,1.27379,0.173803\r\n")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gwsearch.bdfs import bdfs, write_records
+from gwsearch.bdfs import bdfs
 
 FALSE_PREFIX_13 = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 TRUE_SUFFIX_13 = [13, 15, 16, 18, 22]
@@ -80,11 +80,3 @@ def test_validation(tree25):
         bdfs(tree25.adj, 0, tree25.max_degree, 0)
     with pytest.raises(ValueError, match="max_degree must be >= 1"):
         bdfs(tree25.adj, 0, 0, 5)
-
-
-def test_write_records(tree25, tmp_path):
-    out = bdfs(tree25.adj, 0, tree25.max_degree, 13)
-    path = tmp_path / "records.txt"
-    write_records(out, path)
-    lines = [f"{v} 0" for v in FALSE_PREFIX_13] + [f"{v} 1" for v in TRUE_SUFFIX_13]
-    assert path.read_text() == "".join(line + "\n" for line in lines)

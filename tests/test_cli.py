@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -248,16 +249,38 @@ def test_runs_and_seed_are_checked_when_parsed(tmp_path, capsys):
     out = str(tmp_path / "out")
     sweep = ("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "5",
              "--out", out)
+    gen = ("gen", "--dist", "catalan", "--n", "5", "--out", out)
     cases = [(sweep + ("--runs", runs), "runs must be >= 1") for runs in ("0", "-2")]
-    cases += [(sweep + ("--seed", "-1"), "seed must be >= 0"),
-              (("gen", "--dist", "catalan", "--n", "5", "--seed", "-1",
-                "--out", out), "seed must be >= 0")]
+    cases += [(sweep + ("--runs", "abc"), "runs must be an integer"),
+              (sweep + ("--budget", "x"),
+               f"need one or more budgets, each in 1..{analysis.DP_LIMIT}")]
+    cases += [(argv + ("--seed", seed), message) for argv in (sweep, gen)
+              for seed, message in (("-1", "seed must be >= 0"),
+                                    ("q", "seed must be an integer"))]
     for argv, message in cases:
         with pytest.raises(SystemExit) as info:
             run_cli(*argv)
         assert info.value.code == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert not re.search(r"\b_\w", err), err  # no private type function
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_seed_past_64_bits_fails_before_sampling(tmp_path, monkeypatch,
+                                                       capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("tree sampled for a seed that aliases another")
+
+    monkeypatch.setattr(cli.gwtree, "sample_at_least", no_sampling)
+    assert run_cli("sweep", "--dist", "catalan", "--n-min", "10", "--budget", "5",
+                   "--seed", str(2 ** 64)) == 1
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+    # gen seeds numpy directly, where a large seed aliases nothing
+    out = tmp_path / "t.tree"
+    assert run_cli("gen", "--dist", "catalan", "--n", "1", "--seed", str(2 ** 64),
+                   "--out", str(out)) == 0
+    assert out.read_text() == "1\n0\n"
 
 
 def test_sweep_budget_past_exact_law_fails_before_sampling(monkeypatch, capsys):

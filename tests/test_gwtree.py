@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gwsearch import analysis, gwtree, offspring
+from gwsearch.seeds import substream
 
 # The 25-node fixture laid out by hand.  Node ids are preorder ranks.
 EXTENT25 = [25, 6, 1, 1, 1, 1, 1, 11, 1, 1, 1, 4, 1,
@@ -186,6 +187,16 @@ def test_sample_at_least_exhaustion():
     with pytest.raises(gwtree.AttemptsExhausted, match="not reached after 3 attempts") as info:
         gwtree.sample_at_least(fb, 4, 0, max_attempts=3, cap=4)
     assert info.value.attempts == 3
+
+
+def test_substream_master_is_64_bits():
+    # a master of 2^64 would alias master 0 under the modulo-2^64 state
+    for master in (-1, 2 ** 64, 2 ** 64 + 5):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            substream(master, 0)
+    seeds = {substream(master, index) for master in (0, 1, 2 ** 64 - 1)
+             for index in (0, 1)}
+    assert len(seeds) == 6 and all(0 <= s < 2 ** 64 for s in seeds)
 
 
 def test_sample_exact_small():

@@ -9,9 +9,7 @@ import pytest
 from gwsearch import scheduler
 from gwsearch.gwtree import sample_at_least
 from gwsearch.offspring import parse_spec
-from gwsearch.scheduler import (run_adaptive, run_single, series_export,
-                                simulate_parallel, write_sim_csv,
-                                write_summary_csv)
+from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
 
 
 def test_run_single_fixture(tree25):
@@ -188,33 +186,6 @@ def test_simulate_validation(tree25):
                           (10 ** 400, 0.0), (10 ** 300, 1e10)):
         with pytest.raises(ValueError, match="too large: times overflow a float"):
             simulate_parallel(tree25, 13, workers, restart_cost=cost)
-
-
-def test_series_export(tree25, tmp_path):
-    stats = run_single(tree25, 13)
-    rows = series_export(stats)
-    assert rows == [(1, 0, 13), (2, 4, 13), (3, 3, 13),
-                    (4, 2, 13), (5, 1, 13), (6, 0, 13)]
-    path = tmp_path / "series.csv"
-    series_export(stats, path)
-    assert path.read_bytes() == (b"call,list_size,budget\r\n"
-                                 b"1,0,13\r\n2,4,13\r\n3,3,13\r\n"
-                                 b"4,2,13\r\n5,1,13\r\n6,0,13\r\n")
-
-
-def test_write_summary_csv(tree25, tmp_path):
-    path = tmp_path / "summary.csv"
-    write_summary_csv(run_single(tree25, 13), path)
-    assert path.read_bytes() == (b"n,b,policy,R,calls,evaluations\r\n"
-                                 b"25,13,lifo,5,6,24\r\n")
-
-
-def test_write_sim_csv(tree25, tmp_path):
-    path = tmp_path / "sim.csv"
-    write_sim_csv(simulate_parallel(tree25, 13, 1, restart_cost=2), path)
-    assert path.read_bytes() == (
-        b"workers,restart_cost,jobs,makespan,idle_time,restart_overhead,speedup\r\n"
-        b"1,2,6,36,0,12,0.666667\r\n")
 
 
 def test_policies_tuple():
