@@ -1,10 +1,11 @@
 """The size law of a critical tree, three independent ways.
 
-P{N = t} comes out of (1) a truncated convolution DP built on the identity
-P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t, (2) brute-force enumeration of
-every ordered tree with at most 9 nodes, and (3) a histogram of sampled
-trees.  All three agree.  At large sizes the float law, computed by Newton
-iteration on T(x) = x f(T(x)), converges to the local limit
+P{N = t} comes out of (1) the truncated convolution DP size_pmf_rational,
+built on the identity P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t,
+(2) brute-force enumeration of every ordered tree with at most 9 nodes, and
+(3) a histogram of sampled trees.  All three agree.  At large sizes the
+float law of size_pmf_exact, computed by Newton iteration on
+T(x) = x f(T(x)), converges to the local limit
 d / (sigma sqrt(2 pi) t^(3/2)) -- the heavy tail that makes budgeted
 restarts necessary in the first place.
 """
@@ -17,7 +18,7 @@ from gwsearch import analysis, gwtree, offspring
 def main():
     cat = offspring.make_builtin("catalan")
 
-    law = analysis.size_pmf_exact(cat, 9, rational=True)
+    law = analysis.size_pmf_rational(cat, 9)
     enum = analysis.enumerate_small_trees(cat, 9)
     print("catalan size law, exact rational arithmetic:")
     print(f"{'t':>3} {'convolution DP':>16} {'enumeration':>16} {'sampled':>9}")
@@ -45,7 +46,7 @@ def main():
     print()
     fb = offspring.make_builtin("full_binary")
     print("parity: a full binary tree can never have an even size")
-    fb_law = analysis.size_pmf_exact(fb, 8, rational=True)
+    fb_law = analysis.size_pmf_rational(fb, 8)
     print("  P{N=t} for t=1..8:", [str(p) for p in fb_law.pmf[1:]])
 
     print()

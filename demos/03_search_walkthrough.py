@@ -43,11 +43,15 @@ def main():
         print(f"{b:>4} {s.restarts:>4} {s.calls:>6}")
     print()
 
-    print("identical counts either way the oracle is driven:")
+    print("the same run, driving bdfs call by call from a lifo job list:")
     for b in (1, 8, 13):
-        ext = run_single(tree, b, engine="extent")
-        orc = run_single(tree, b, engine="oracle")
-        print(f"  b={b:<3d} extent R={ext.restarts}, oracle R={orc.restarts}")
+        restarts, jobs = 0, [0]
+        while jobs:
+            unexplored = bdfs(tree.adj, jobs.pop(), tree.max_degree, b).unexplored()
+            restarts += len(unexplored)
+            jobs.extend(unexplored)
+        print(f"  b={b:<3d} bdfs R={restarts}, "
+              f"run_single R={run_single(tree, b).restarts}")
 
 
 if __name__ == "__main__":

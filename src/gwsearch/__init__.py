@@ -12,7 +12,6 @@ from .offspring import (
     builtin_names,
     make_builtin,
     make_custom,
-    moments,
     parse_spec,
 )
 from .gwtree import (
@@ -45,6 +44,7 @@ from .analysis import (
     rational_pmf,
     size_pmf_asymptotic,
     size_pmf_exact,
+    size_pmf_rational,
     tail_asymptotic,
     theorem1_check,
 )
@@ -71,7 +71,6 @@ __all__ = [
     "enumerate_small_trees",
     "make_builtin",
     "make_custom",
-    "moments",
     "mu_analytic",
     "mu_exact",
     "mu_mc",
@@ -87,6 +86,7 @@ __all__ = [
     "simulate_parallel",
     "size_pmf_asymptotic",
     "size_pmf_exact",
+    "size_pmf_rational",
     "substream",
     "tail_asymptotic",
     "theorem1_check",

@@ -19,10 +19,11 @@ Theorem1Report; the sweep CSV built from it is written by the CLI.
 Large-n size asymptotics: P{N = n} ~ d / (sigma sqrt(2 pi) n^{3/2}) on the
 lattice n = 1 mod d, and P{N >= n} ~ sqrt(2 / (pi n sigma^2)).
 
-The rational convolution DP and the brute-force tree enumeration double as
-independent oracles for the float Newton path.  The DP uses the hitting-time
-identity P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t: it sums walk paths with
-no positivity constraint (the 1/t is the cycle-lemma correction); the
+The rational convolution DP (size_pmf_rational) and the brute-force tree
+enumeration are independent oracles for the float Newton path
+(size_pmf_exact).  The DP uses the hitting-time identity
+P{N = t} = P{xi_1 + ... + xi_t = t - 1} / t: it sums walk paths with no
+positivity constraint (the 1/t is the cycle-lemma correction); the
 enumeration multiplies pmf entries tree by tree.  Both run in exact rational
 arithmetic for builtins with rational pmfs, so their agreement can be
 asserted with == rather than a tolerance.
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import OffspringDistribution
-from .seeds import as_generator
 
 # size-law ceiling of the Newton path (harmonic:10 at 4 * 10^6 takes about 25 s
 # and 380 MB); past this only mu_analytic / mu_mc are offered
@@ -125,19 +125,16 @@ def rational_pmf(dist: OffspringDistribution) -> list | None:
     return None
 
 
-def size_pmf_exact(dist: OffspringDistribution, t_max: int, rational: bool = False) -> SizeLaw:
+def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     """Exact P{N = t} for t <= t_max, the coefficients of T(x) = x f(T(x)).
 
-    The float path solves that equation by Newton iteration on power series
-    in O(max_degree * t_max log t_max); entries off the lattice
-    t = 1 (mod span) are exactly 0.0 and none is negative.  The rational path
-    runs the truncated convolution DP exactly, in integers over a common
-    denominator (builtins with rational pmfs only, t_max <= 512).
+    Solves that equation in floats by Newton iteration on power series in
+    O(max_degree * t_max log t_max); entries off the lattice t = 1 (mod span)
+    are exactly 0.0 and none is negative.  size_pmf_rational is its exact
+    oracle.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if rational:
-        return _size_pmf_rational(dist, t_max)
     if t_max > DP_LIMIT:
         raise ValueError(
             f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
@@ -211,7 +208,14 @@ def _fft_size(k):
     return min(1 << (k - 1).bit_length(), 3 << ((k - 1) // 3).bit_length())
 
 
-def _size_pmf_rational(dist, t_max):
+def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
+    """Exact rational P{N = t} for t <= t_max by the truncated convolution DP.
+
+    Runs in integers over a common denominator; builtins with rational pmfs
+    only, t_max <= 512.  The oracle for size_pmf_exact.
+    """
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     if t_max > _RATIONAL_DP_LIMIT:
         raise ValueError(f"rational path capped at t_max = {_RATIONAL_DP_LIMIT}")
     p = rational_pmf(dist)
@@ -255,7 +259,7 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
         raise ValueError("budget must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     total = total_sq = 0.0
     for start in range(0, samples, _MC_CHUNK):
         vals = _min_size_batch(dist, budget, min(_MC_CHUNK, samples - start), rng)

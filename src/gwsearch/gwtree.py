@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from .offspring import OffspringDistribution
-from .seeds import as_generator
 
 
 class AttemptsExhausted(RuntimeError):
@@ -142,11 +141,6 @@ class PreorderTree:
             child += ext[child]
         return int(child)
 
-    def subtree_size(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return int(self.extent[v])
-
     def __len__(self):
         return self.n
 
@@ -194,7 +188,7 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    got = _grow(dist, as_generator(seed), cap)
+    got = _grow(dist, np.random.default_rng(seed), cap)
     return got if isinstance(got, Overflow) else _tree(got)
 
 
@@ -215,7 +209,7 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
         raise ValueError("cap must be >= n_min")
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     attempts = 0
     while True:
         attempts += 1
@@ -243,7 +237,7 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
     if max_attempts is not None and max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     target = n - 1
     attempts = 0
     while True:
@@ -281,16 +275,17 @@ def write_tree(tree: PreorderTree, path) -> None:
 def read_tree(path) -> PreorderTree:
     """Read and fully validate a tree file written by write_tree.
 
-    Line 1 is the node count n.  Line 2 holds n degrees, each ASCII decimal
-    digits, separated by ASCII whitespace.  Only whitespace may follow.
+    Line 1 is the node count n, in ASCII decimal digits.  Line 2 holds n
+    degrees, each ASCII decimal digits, separated by ASCII whitespace.  Only
+    whitespace may follow.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
     head, body = (lines + [b"", b""])[:2]
-    try:
-        n = int(head)
-    except ValueError:
-        raise ValueError(f"{path}: first line must be the node count") from None
+    head = head.strip()
+    if not head.isdigit():  # ASCII digits only: int() would take "+2" and "1_0"
+        raise ValueError(f"{path}: first line must be the node count")
+    n = int(head)
     if any(line.strip() for line in lines[2:]):
         raise ValueError(f"{path}: unexpected content after the degree line")
     chars = np.frombuffer(body, dtype=np.uint8)

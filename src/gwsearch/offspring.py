@@ -260,11 +260,6 @@ def make_builtin(name: str, param: int | None = None) -> OffspringDistribution:
     return _finalize(recipe(param), key, param, assert_critical=True, crit_tol=tol)
 
 
-def moments(dist: OffspringDistribution) -> tuple[float, float]:
-    """(mean, variance) recomputed from the stored pmf."""
-    return _moments(dist.pmf)
-
-
 def parse_spec(spec: str, assert_critical: bool = True) -> OffspringDistribution:
     """Parse a distribution spec string: ``name[:param]`` or ``custom:p0,p1,...``.
 

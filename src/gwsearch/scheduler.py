@@ -19,10 +19,8 @@ orders and their list sizes follow from a sort.  run_adaptive and
 simulate_parallel keep one call at a time (_call_extent, repeated extent
 jumps, O(restarts) per call): an adaptive budget depends on the list size
 the loop has reached, and a simulator that replayed precomputed calls
-inside its event loop measured no faster.  run_single(engine="oracle")
-drives the two-stack search through tree.adj, node by node, in the same
-sequential loop as run_adaptive; it is the reference the tiling is tested
-against.
+inside its event loop measured no faster.  The tests hold _call_extent to
+bdfs over tree.adj, call by call, and the tiling to run_adaptive.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -41,11 +39,9 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .bdfs import bdfs
 from .gwtree import PreorderTree
 
 POLICIES = ("lifo", "fifo")
@@ -101,59 +97,20 @@ def _call_extent(ext, s: int, b: int):
     return b - 1 + len(out), out
 
 
-def _call_oracle(tree: PreorderTree, s: int, b: int):
-    # max(..., 1): bdfs insists on probing at least j=1, fine for a lone leaf
-    result = bdfs(tree.adj, s, max(tree.max_degree, 1), b)
-    return result.generated, result.unexplored()
-
-
-def _master_loop(tree: PreorderTree, budget: int, low_mark: float,
-                 high_mark: float, scale_factor: float, policy: str,
-                 call) -> SearchStats:
-    """Pop, search, push until the job list drains; see run_adaptive."""
-    jobs, pop = _job_list(policy)
-    restarts = evaluations = 0
-    sizes = []
-    budgets = []
-    while jobs:
-        pressure = len(jobs)
-        if pressure < low_mark:
-            budget = max(2, math.floor(budget / scale_factor))
-        elif pressure > high_mark:
-            budget = math.floor(budget * scale_factor)
-        s = pop()
-        sizes.append(pressure - 1)
-        budgets.append(budget)
-        generated, unexplored = call(s, budget)
-        evaluations += generated
-        restarts += len(unexplored)
-        jobs.extend(unexplored)
-    return SearchStats(n=tree.n, policy=policy, restarts=restarts,
-                       calls=len(sizes), evaluations=evaluations,
-                       list_sizes=sizes, budgets=budgets)
-
-
-def run_single(tree: PreorderTree, budget: int, policy: str = "lifo",
-               engine: str = "extent") -> SearchStats:
+def run_single(tree: PreorderTree, budget: int, policy: str = "lifo") -> SearchStats:
     """Run the master loop at a fixed budget until the job list drains.
 
-    engine "extent" reads the run off the preorder block tiling: the call at
-    s explores [s, s + min(b, ext[s])), and these blocks tile [0, n), so the
-    job starts are the orbit of 0 under s -> s + min(b, ext[s]).  A call with
+    The run is read off the preorder block tiling: the call at s explores
+    [s, s + min(b, ext[s])), and these blocks tile [0, n), so the job starts
+    are the orbit of 0 under s -> s + min(b, ext[s]).  A call with
     ext[s] > b returns k = S[s+b] - S[s] + 1 roots (s + b, then one per level
     its walk climbs back down).  FIFO pops jobs by depth, the number of job
     subtrees enclosing the start; LIFO pops by subtree end, latest first.
     In either pop order the list size after the i-th pop is the roots pushed
-    before it minus i.  engine "oracle" runs the budgeted search itself over
-    tree.adj, call by call, as a reference.
+    before it minus i.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if engine == "oracle":
-        return _master_loop(tree, budget, 0, math.inf, 2, policy,
-                            partial(_call_oracle, tree))
-    if engine != "extent":
-        raise ValueError("engine must be 'extent' or 'oracle'")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
     b = min(budget, tree.n)  # larger budgets cut no subtree either
@@ -205,8 +162,27 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
         raise ValueError("need 0 <= low_mark < high_mark")
-    return _master_loop(tree, initial_budget, low_mark, high_mark, scale_factor,
-                        policy, partial(_call_extent, tree.extent))
+    ext = tree.extent
+    budget = initial_budget
+    jobs, pop = _job_list(policy)
+    restarts = evaluations = 0
+    sizes = []
+    budgets = []
+    while jobs:
+        pressure = len(jobs)
+        if pressure < low_mark:
+            budget = max(2, math.floor(budget / scale_factor))
+        elif pressure > high_mark:
+            budget = math.floor(budget * scale_factor)
+        sizes.append(pressure - 1)
+        budgets.append(budget)
+        generated, unexplored = _call_extent(ext, pop(), budget)
+        evaluations += generated
+        restarts += len(unexplored)
+        jobs.extend(unexplored)
+    return SearchStats(n=tree.n, policy=policy, restarts=restarts,
+                       calls=len(sizes), evaluations=evaluations,
+                       list_sizes=sizes, budgets=budgets)
 
 
 def simulate_parallel(tree: PreorderTree, budget: int, workers: int,

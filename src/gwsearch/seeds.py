@@ -1,16 +1,16 @@
-"""Seeding helpers: one master seed fans out to reproducible substreams.
+"""Seeding: one master seed fans out to reproducible substreams.
 
 Substream k of master seed m is the splitmix64 output of state
 m + (k+1) * 0x9E3779B97F4A7C15 (the 64-bit golden ratio step).  This is the
 standard stateless way to derive independent 64-bit seeds, so a sweep can
 regenerate run k without replaying runs 0..k-1.  The master must lie in
 [0, 2^64): the state is taken modulo 2^64, so a larger master would repeat
-the substreams of a smaller one.  Generators are numpy PCG64.
+the substreams of a smaller one.  The samplers and mu_mc take a seed, a
+numpy Generator or None, and pass it to np.random.default_rng, which returns
+a Generator unchanged and seeds a fresh PCG64 from anything else.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -25,9 +25,3 @@ def substream(master: int, index: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
-
-def as_generator(seed) -> np.random.Generator:
-    """Pass numpy Generators through; anything else seeds a fresh PCG64."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)

@@ -88,7 +88,7 @@ def _check_size_law_oracles():
     for spec in ORACLE_DISTRIBUTIONS:
         dist = offspring.parse_spec(spec)
         enum = analysis.enumerate_small_trees(dist, 9)
-        rational = analysis.size_pmf_exact(dist, 9, rational=True)
+        rational = analysis.size_pmf_rational(dist, 9)
         if rational.pmf != enum.pmf:
             return False, f"rational path disagrees with enumeration for {spec}"
         floats = analysis.size_pmf_exact(dist, 9)
@@ -192,10 +192,17 @@ def _check_structural_invariants(rng):
                 return False, f"{spec} b={budget}: evaluations != n-1"
             if lifo.restarts != fifo.restarts:
                 return False, f"{spec} b={budget}: LIFO/FIFO restart counts differ"
-            if n <= 2000:
-                oracle = scheduler.run_single(tree, budget, engine="oracle")
-                if (oracle.restarts, oracle.evaluations) != (lifo.restarts, lifo.evaluations):
-                    return False, f"{spec} b={budget}: oracle engine disagrees"
+            if n <= 2000:  # the same run by bdfs over tree.adj, call by call
+                restarts = evaluations = 0
+                jobs = [0]
+                while jobs:
+                    out = bdfs(tree.adj, jobs.pop(), tree.max_degree, budget)
+                    unexplored = out.unexplored()
+                    evaluations += out.generated
+                    restarts += len(unexplored)
+                    jobs.extend(unexplored)
+                if (restarts, evaluations) != (lifo.restarts, lifo.evaluations):
+                    return False, f"{spec} b={budget}: bdfs-driven run disagrees"
         for workers in (1, 2, 5):
             report = scheduler.simulate_parallel(tree, 33, workers=workers)
             if report.restarts != scheduler.run_single(tree, 33).restarts:

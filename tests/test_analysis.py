@@ -11,7 +11,8 @@ from gwsearch import analysis, offspring
 from gwsearch.analysis import (DP_LIMIT, SizeLaw, enumerate_small_trees,
                                mu_analytic, mu_exact, mu_mc, rational_pmf,
                                size_pmf_asymptotic, size_pmf_exact,
-                               tail_asymptotic, theorem1_check)
+                               size_pmf_rational, tail_asymptotic,
+                               theorem1_check)
 
 CATALAN = offspring.make_builtin("catalan")
 FULL_BINARY = offspring.make_builtin("full_binary")
@@ -25,14 +26,14 @@ FULL_BINARY_SIZES = {1: Fraction(1, 2), 3: Fraction(1, 8), 5: Fraction(1, 16),
 
 
 def test_size_pmf_rational_catalan():
-    law = size_pmf_exact(CATALAN, 5, rational=True)
+    law = size_pmf_rational(CATALAN, 5)
     assert law.pmf[0] == 0
     assert list(law.pmf[1:]) == CATALAN_SIZES
     assert law.tail == 1 - sum(CATALAN_SIZES)
 
 
 def test_size_pmf_rational_full_binary():
-    law = size_pmf_exact(FULL_BINARY, 9, rational=True)
+    law = size_pmf_rational(FULL_BINARY, 9)
     for t in range(1, 10):
         assert law.pmf[t] == FULL_BINARY_SIZES.get(t, Fraction(0))
     assert law.tail == 1 - sum(FULL_BINARY_SIZES.values())
@@ -49,7 +50,7 @@ def test_size_pmf_float_matches_rational():
                                   "binomial:4"])
 def test_size_pmf_newton_matches_rational(spec):
     dist = offspring.parse_spec(spec)
-    exact = size_pmf_exact(dist, 300, rational=True)
+    exact = size_pmf_rational(dist, 300)
     law = size_pmf_exact(dist, 300)
     for t in range(1, 301):
         assert law.pmf[t] == pytest.approx(float(exact.pmf[t]), rel=1e-12, abs=0)
@@ -115,10 +116,12 @@ def test_size_pmf_resource_limits():
         size_pmf_exact(CATALAN, 0)
     with pytest.raises(ValueError, match="above the convolution limit"):
         size_pmf_exact(CATALAN, DP_LIMIT + 1)
+    with pytest.raises(ValueError, match="t_max must be >= 1"):
+        size_pmf_rational(CATALAN, 0)
     with pytest.raises(ValueError, match="rational path capped at t_max = 512"):
-        size_pmf_exact(CATALAN, 513, rational=True)
+        size_pmf_rational(CATALAN, 513)
     with pytest.raises(ValueError, match="no exact rational pmf"):
-        size_pmf_exact(offspring.make_builtin("geometric"), 5, rational=True)
+        size_pmf_rational(offspring.make_builtin("geometric"), 5)
 
 
 def test_size_law_shape_guard():
@@ -140,7 +143,7 @@ def test_rational_pmf_coverage():
 def test_enumeration_agrees_with_convolution():
     # independent oracle: brute-force walk of every tree up to 9 nodes
     enum = enumerate_small_trees(CATALAN, 9)
-    dp = size_pmf_exact(CATALAN, 9, rational=True)
+    dp = size_pmf_rational(CATALAN, 9)
     assert enum.pmf == dp.pmf  # exact Fractions on both sides
     geo = offspring.make_builtin("geometric")
     enum_f = enumerate_small_trees(geo, 9)

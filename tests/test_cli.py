@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
+import ast
 import hashlib
 import pathlib
 import re
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+import gwsearch
 from gwsearch import analysis, cli
 
 PYPROJECT = pathlib.Path(__file__).parents[1] / "pyproject.toml"
@@ -333,6 +335,17 @@ def test_console_script_help(child_env):
     if path:
         check_help(subprocess.run([path, "--help"], capture_output=True,
                                   text=True, env=child_env))
+
+
+def test_public_surface_matches_all():
+    # a dangling __all__ entry breaks `from gwsearch import *`
+    for name in gwsearch.__all__:
+        assert hasattr(gwsearch, name), name
+    tree = ast.parse(pathlib.Path(gwsearch.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} \
+        <= set(gwsearch.__all__)
 
 
 def test_module_entry_matches_script(child_env):

@@ -81,9 +81,7 @@ def test_q_path_frozen(tree25):
 
 def test_subtree_size(tree25):
     for v, size in [(0, 25), (1, 6), (7, 11), (13, 2), (18, 4)]:
-        assert tree25.subtree_size(v) == size
-    with pytest.raises(ValueError, match="out of range"):
-        tree25.subtree_size(25)
+        assert tree25.extent[v] == size
 
 
 def test_single_node_tree():
@@ -246,9 +244,13 @@ def test_read_example_file(tree25, tree25_path):
 
 def test_read_tree_malformed(tmp_path):
     bad_head = tmp_path / "a.tree"
-    bad_head.write_text("abc\n0\n")
-    with pytest.raises(ValueError, match="first line must be the node count"):
-        gwtree.read_tree(bad_head)
+    # int() would read "+2" as 2 and "1_0" as 10
+    for head in ("abc", "", "+2", "1_0", "-1", "\u0662"):
+        bad_head.write_text(f"{head}\n1 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="first line must be the node count"):
+            gwtree.read_tree(bad_head)
+    bad_head.write_text(" 2\t\n1 0\n")  # whitespace around the count is fine
+    assert gwtree.read_tree(bad_head).n == 2
     bad_count = tmp_path / "b.tree"
     bad_count.write_text("3\n0 0\n")
     with pytest.raises(ValueError, match="expected 3 degrees, found 2"):

@@ -158,13 +158,6 @@ def test_parse_spec():
         offspring.parse_spec("custom")
 
 
-def test_moments_helper():
-    d = offspring.make_builtin("harmonic", 3)
-    mean, var = offspring.moments(d)
-    assert mean == pytest.approx(d.mean, abs=1e-15)
-    assert var == pytest.approx(d.variance, abs=1e-15)
-
-
 def test_builtin_names_listed():
     names = offspring.builtin_names()
     assert "catalan" in names and "harmonic" in names and "uniform" in names

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsearch.bdfs import bdfs
-from gwsearch.gwtree import PreorderTree, sample_at_least
+from gwsearch.gwtree import PreorderTree, read_tree, sample_at_least
 from gwsearch.offspring import parse_spec
-from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
+from gwsearch.scheduler import (_call_extent, run_adaptive, run_single,
+                                simulate_parallel)
 
 
 def close_to_tree(draws):
@@ -41,35 +42,43 @@ def test_every_node_evaluated_once(degrees, budget):
     assert stats.calls == stats.restarts + 1
 
 
-def check_block_tiling(tree, budget, oracle=True):
-    """run_single's block tiling against the sequential loops, field by field.
+def check_block_tiling(tree, budget):
+    """run_single's block tiling against the sequential loop, field by field.
 
     run_adaptive with marks (0, inf) is the fixed-budget sequential loop over
-    _call_extent; the oracle engine runs bdfs over tree.adj in that loop.
+    _call_extent, which test_call_extent_matches_bdfs holds to bdfs.
     """
     for policy in ("lifo", "fifo"):
         tiled = run_single(tree, budget, policy=policy)
         assert tiled == run_adaptive(tree, budget, 0, math.inf, 2, policy)
-        if oracle:
-            assert tiled == run_single(tree, budget, policy=policy, engine="oracle")
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30))
 @settings(max_examples=50, deadline=None)
-def test_restarts_policy_and_engine_invariant(degrees, budget):
+def test_restarts_policy_invariant(degrees, budget):
     tree = PreorderTree(degrees)
-    runs = [run_single(tree, budget, policy=p, engine=e)
-            for p in ("lifo", "fifo") for e in ("extent", "oracle")]
+    runs = [run_single(tree, budget, policy=p) for p in ("lifo", "fifo")]
     assert len({s.restarts for s in runs}) == 1
     assert len({s.evaluations for s in runs}) == 1
     check_block_tiling(tree, budget)
+
+
+@given(degrees=tree_degrees, budget=st.integers(1, 30))
+@settings(max_examples=50, deadline=None)
+def test_call_extent_matches_bdfs(degrees, budget):
+    # max(..., 1): bdfs probes at least j = 1, which a lone leaf answers None
+    tree = PreorderTree(degrees)
+    for s in range(tree.n):
+        out = bdfs(tree.adj, s, max(tree.max_degree, 1), budget)
+        generated, unexplored = _call_extent(tree.extent, s, budget)
+        assert (generated, list(unexplored)) == (out.generated, out.unexplored())
 
 
 @pytest.mark.parametrize("spec", ["ternary_uniform", "harmonic:10", "catalan"])
 def test_block_tiling_on_sampled_trees(spec):
     tree, _ = sample_at_least(parse_spec(spec), 10_000, seed=0, cap=20_000)
     for budget in (1, 7, 50, 500):
-        check_block_tiling(tree, budget, oracle=False)
+        check_block_tiling(tree, budget)
 
 
 TALL = 100_000
@@ -86,7 +95,7 @@ def test_block_tiling_on_tall_trees(shape):
         degrees = [1] * (half - 1) + [half] + [0] * half
     tree = PreorderTree(degrees)
     for budget in (1, 50):
-        check_block_tiling(tree, budget, oracle=False)
+        check_block_tiling(tree, budget)
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30),
@@ -118,6 +127,39 @@ def test_bdfs_tiling(degrees, budget):
         seen.extend(v for v, _ in out.records)
         starts.extend(out.unexplored())
     assert sorted(seen) == list(range(1, tree.n))
+
+
+# digits, ASCII whitespace, the signs and underscore that int() accepts, and
+# one byte outside ASCII
+TREE_FILE_BYTES = b"0123456789 \t\n\r\x0b\x0c+-_\xa0"
+
+
+@st.composite
+def tree_files(draw):
+    """A written tree file with a few bytes inserted or overwritten."""
+    degrees = draw(tree_degrees)
+    text = bytearray(f"{len(degrees)}\n{' '.join(map(str, degrees))}\n".encode())
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        byte = draw(st.sampled_from(TREE_FILE_BYTES))
+        text[at:at + draw(st.integers(0, 1))] = bytes([byte])
+    return bytes(text)
+
+
+@given(data=tree_files()
+       | st.lists(st.sampled_from(TREE_FILE_BYTES), max_size=40).map(bytes))
+@settings(max_examples=200, deadline=None)
+def test_read_tree_accepts_only_ascii_digit_files(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tree"
+    path.write_bytes(data)
+    try:
+        tree = read_tree(path)
+    except ValueError:
+        return
+    tokens = data.split()  # bytes.split() splits on ASCII whitespace only
+    assert len(tokens) == tree.n + 1
+    assert all(token.isdigit() for token in tokens)  # ASCII digits only
+    assert [int(token) for token in tokens] == [tree.n] + tree.degrees.tolist()
 
 
 @given(degrees=tree_degrees)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from gwsearch import scheduler
+from gwsearch.bdfs import bdfs
 from gwsearch.gwtree import sample_at_least
 from gwsearch.offspring import parse_spec
 from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
@@ -41,15 +42,21 @@ def test_calls_equal_restarts_plus_one(tree25):
         assert stats.evaluations == 24  # every node generated exactly once
 
 
-def test_policies_and_engines_agree(tree25):
+def test_call_extent_matches_bdfs(tree25):
+    # every (s, b) of the example tree: the closed form against bdfs over adj
+    for s in range(25):
+        for b in range(1, 27):
+            out = bdfs(tree25.adj, s, tree25.max_degree, b)
+            generated, unexplored = scheduler._call_extent(tree25.extent, s, b)
+            assert (generated, list(unexplored)) == (out.generated, out.unexplored())
+
+
+def test_policies_agree(tree25):
     for b in range(1, 27):
-        ext = run_single(tree25, b, engine="extent")
-        orc = run_single(tree25, b, engine="oracle")
-        assert (ext.restarts, ext.calls, ext.evaluations, ext.list_sizes) == \
-               (orc.restarts, orc.calls, orc.evaluations, orc.list_sizes)
+        lifo = run_single(tree25, b)
         fifo = run_single(tree25, b, policy="fifo")
-        assert fifo.restarts == ext.restarts
-        assert fifo.calls == ext.calls
+        assert fifo.restarts == lifo.restarts
+        assert fifo.calls == lifo.calls
 
 
 def test_pop_order(tree25):
@@ -68,8 +75,6 @@ def test_run_single_validation(tree25):
         run_single(tree25, 0)
     with pytest.raises(ValueError, match="policy must be one of"):
         run_single(tree25, 5, policy="stack")
-    with pytest.raises(ValueError, match="engine must be 'extent' or 'oracle'"):
-        run_single(tree25, 5, engine="magic")
 
 
 def test_adaptive_wide_marks_match_run_single(tree25):
