@@ -277,6 +277,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, gwtree.AttemptsExhausted) as exc:
         print(f"gwsearch: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. gen --n 10**12
+        print(f"gwsearch: error: out of memory{': ' if str(exc) else ''}{exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -278,8 +278,8 @@ def parse_spec(spec: str, assert_critical: bool = True) -> OffspringDistribution
         return make_custom(probs, assert_critical=assert_critical)
     param = None
     if sep:
-        try:
-            param = int(arg)
-        except ValueError:
-            raise ValueError(f"parameter in {spec!r} must be an integer") from None
+        arg = arg.strip(" \t\n\r\v\f")  # ASCII whitespace
+        if not (arg.isascii() and arg.isdigit()):  # int() takes "３", "+3", "1_0"
+            raise ValueError(f"parameter in {spec!r} must be an integer")
+        param = int(arg)
     return make_builtin(name, param)

@@ -13,14 +13,17 @@ A search call is computed in closed form on the preorder layout: the
 explored prefix of a call at s is the slots s+1 .. s+b-1, and what remains
 of the subtree interval is tiled left to right by the unexplored subtrees.
 So the call at s explores exactly the block [s, s + min(b, ext[s])), the
-blocks of a run tile [0, n), and run_single reads a fixed-budget run off
-that tiling: one chase through the extents finds the starts, and both pop
-orders and their list sizes follow from a sort.  run_adaptive and
-simulate_parallel keep one call at a time (_call_extent, repeated extent
-jumps, O(restarts) per call): an adaptive budget depends on the list size
-the loop has reached, and a simulator that replayed precomputed calls
-inside its event loop measured no faster.  The tests hold _call_extent to
-bdfs over tree.adj, call by call, and the tiling to run_adaptive.
+blocks of a run tile [0, n), and a fixed-budget run is read off that
+tiling (_tiled_run): one chase through the extents finds the starts, and
+both pop orders and their list sizes follow from a sort.  run_single is
+that run from the root.  run_adaptive makes one call at a time
+(_call_extent, repeated extent jumps, O(restarts) per call) while its
+budget can still move, since the budget depends on the list size the loop
+has reached; once no update can fire again, it hands the pending jobs to
+_tiled_run.  simulate_parallel keeps one call at a time: a simulator that
+replayed precomputed calls inside its event loop measured no faster.  The
+tests hold _call_extent to bdfs over tree.adj, call by call, and
+run_single and run_adaptive to a call-by-call master loop.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -39,6 +42,7 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -84,8 +88,11 @@ class SimReport:
 
 
 def _call_extent(ext, s: int, b: int):
-    """(nodes generated, unexplored roots) for one call, from subtree extents."""
-    m = int(ext[s])
+    """(nodes generated, unexplored roots) for one call, from subtree extents.
+
+    ext is memoryview(tree.extent), whose items are plain Python ints.
+    """
+    m = ext[s]
     if m <= b:  # whole subtree fits: everything explored, nothing returned
         return m - 1, ()
     end = s + m
@@ -93,56 +100,87 @@ def _call_extent(ext, s: int, b: int):
     out = []
     while w < end:
         out.append(w)
-        w += int(ext[w])
+        w += ext[w]
     return b - 1 + len(out), out
+
+
+def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
+    """(restarts, evaluations, list sizes) of a fixed-budget run from a job list.
+
+    jobs is a job list that a run under this policy can hold, in list order;
+    its jobs root disjoint subtree intervals.  The call at s explores
+    [s, s + min(b, ext[s])), and these blocks tile every interval, so the
+    starts are the orbits of the jobs under s -> s + min(b, ext[s]), chased
+    in position order.  A call with ext[s] > b returns k = S[s+b] - S[s] + 1
+    roots (s + b, then one per level its walk climbs back down).
+    A LIFO stack ascends, so it pops by subtree end, latest first.  A FIFO
+    queue holds at most two generations, each ascending, and the later one
+    is exactly the jobs that lie before the head; it pops by generation:
+    that offset plus the number of job subtrees enclosing the start.  In
+    either pop order the list size after the i-th pop is len(jobs) - 1 plus
+    the roots pushed before it minus i.
+    """
+    b = min(budget, tree.n)  # larger budgets cut no subtree either
+    ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
+    small = tree.n < 2**31  # then positions, extents and sizes fit an int32
+    starts = array("i" if small else "q")
+    push = starts.append
+    for s in sorted(jobs):
+        end = s + ext[s]
+        while s < end:  # one step per call: the hot loop of a small budget
+            push(s)
+            e = ext[s]
+            s += b if e > b else e
+    starts = np.frombuffer(starts, dtype=np.intc if small else np.int64)
+    extents = np.take(tree.extent, starts, out=np.empty_like(starts))
+    cut = extents > b
+    roots = np.zeros_like(starts)
+    at = starts[cut]
+    roots[cut] = tree._walk[at + b] - tree._walk[at] + 1
+    del at
+    restarts = int(roots.sum(dtype=np.int64))
+    # a call that cuts its subtree generates b - 1 + k nodes
+    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum(dtype=np.int64))
+    del cut
+    ends = extents
+    ends += starts
+    # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
+    if policy == "fifo":  # job subtrees enclosing the start, plus the offset
+        generation = np.arange(starts.size, dtype=starts.dtype)
+        ends.sort()
+        generation -= np.searchsorted(ends, starts, side="right")
+        generation[:np.searchsorted(starts, jobs[0])] += 1
+        order = np.argsort(generation, kind="stable")
+        del generation
+    else:
+        np.negative(ends, out=ends)
+        order = np.argsort(ends, kind="stable")
+    del ends, extents, starts
+    growth = roots[order]  # each call pushes its roots and pops itself
+    del order, roots
+    growth -= 1
+    sizes = np.cumsum(growth, dtype=growth.dtype)
+    sizes -= growth  # the growth before each pop
+    del growth
+    sizes += len(jobs) - 1
+    return restarts, evaluations, sizes.tolist()
 
 
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo") -> SearchStats:
     """Run the master loop at a fixed budget until the job list drains.
 
-    The run is read off the preorder block tiling: the call at s explores
-    [s, s + min(b, ext[s])), and these blocks tile [0, n), so the job starts
-    are the orbit of 0 under s -> s + min(b, ext[s]).  A call with
-    ext[s] > b returns k = S[s+b] - S[s] + 1 roots (s + b, then one per level
-    its walk climbs back down).  FIFO pops jobs by depth, the number of job
-    subtrees enclosing the start; LIFO pops by subtree end, latest first.
-    In either pop order the list size after the i-th pop is the roots pushed
-    before it minus i.
+    The run is read off the preorder block tiling (_tiled_run) from the job
+    list holding the root: one chase through the extents finds the starts,
+    and both pop orders and their list sizes follow from a sort.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    b = min(budget, tree.n)  # larger budgets cut no subtree either
-    ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
-    starts = array("q")
-    push = starts.append
-    s, n = 0, tree.n
-    while s < n:  # one step per call: the hot loop of a small budget
-        push(s)
-        e = ext[s]
-        s += b if e > b else e
-    starts = np.frombuffer(starts, dtype=np.int64)
-    extents = tree.extent[starts]
-    cut = extents > b
-    roots = np.zeros_like(starts)
-    at = starts[cut]
-    roots[cut] = tree._walk[at + b].astype(np.int64) - tree._walk[at] + 1
-    # a call that cuts its subtree generates b - 1 + k nodes
-    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum())
-    ends = starts + extents
-    # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
-    if policy == "fifo":  # by job depth: the job subtrees enclosing the start
-        depth = np.arange(starts.size) - np.searchsorted(np.sort(ends), starts,
-                                                          side="right")
-        order = np.argsort(depth, kind="stable")
-    else:
-        order = np.argsort(-ends, kind="stable")
-    pushed = roots[order]
-    sizes = np.cumsum(pushed) - pushed - np.arange(pushed.size)
-    return SearchStats(n=tree.n, policy=policy, restarts=int(roots.sum()),
-                       calls=roots.size, evaluations=evaluations,
-                       list_sizes=sizes.tolist(), budgets=[budget] * roots.size)
+    restarts, evaluations, sizes = _tiled_run(tree, budget, (0,), policy)
+    return SearchStats(n=tree.n, policy=policy, restarts=restarts,
+                       calls=len(sizes), evaluations=evaluations,
+                       list_sizes=sizes, budgets=[budget] * len(sizes))
 
 
 def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
@@ -155,6 +193,13 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     budget divides by scale_factor (floored, never below 2), above high_mark
     it multiplies.  Marks (0, inf) reproduce run_single exactly.  The budget
     used by each call is reported in SearchStats.budgets.
+
+    The loop makes one call at a time until no update can fire again: the
+    list never holds more than n jobs, so with high_mark >= n the budget
+    stops moving once low_mark <= 1 (the pressure is at least 1) or once it
+    has reached 2 (the floored divide's fixed point).  From that pressure
+    check on, the rest of the run is a fixed-budget run from the current job
+    list, read off the block tiling (_tiled_run).
     """
     if initial_budget < 1:
         raise ValueError("initial budget must be >= 1")
@@ -162,7 +207,8 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
         raise ValueError("need 0 <= low_mark < high_mark")
-    ext = tree.extent
+    ext = memoryview(tree.extent)
+    pinned = high_mark >= tree.n  # no multiply can fire
     budget = initial_budget
     jobs, pop = _job_list(policy)
     restarts = evaluations = 0
@@ -174,6 +220,17 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
             budget = max(2, math.floor(budget / scale_factor))
         elif pressure > high_mark:
             budget = math.floor(budget * scale_factor)
+        if pinned and (budget == 2 or low_mark <= 1):
+            tail_restarts, tail_evaluations, tail = _tiled_run(tree, budget, jobs, policy)
+            restarts += tail_restarts
+            evaluations += tail_evaluations
+            budgets.extend(repeat(budget, len(tail)))
+            if len(tail) > len(sizes):  # grow the longer list, so as to copy less
+                tail[:0] = sizes
+                sizes = tail
+            else:
+                sizes += tail
+            break
         sizes.append(pressure - 1)
         budgets.append(budget)
         generated, unexplored = _call_extent(ext, pop(), budget)
@@ -220,7 +277,7 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     else:
         cost = float(restart_cost)
         p, q = restart_cost.as_integer_ratio()
-    ext = tree.extent
+    ext = memoryview(tree.extent)
     jobs, pop = _job_list(policy)
     # A run has at most n jobs and the lowest idle index always goes first,
     # so workers n, n+1, ... never start one: leave them out of the heap.

@@ -32,6 +32,17 @@ def declared_script(name):
     return scripts[name]
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 7.28 TiB for an array"])
+def test_memory_error_exits_1_with_one_line(monkeypatch, capsys, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_gen", exhausted)
+    assert run_cli("gen", "--dist", "catalan", "--n", "5", "--out", "t.txt") == 1
+    err = capsys.readouterr().err
+    assert err == f"gwsearch: error: out of memory{': ' if message else ''}{message}\n"
+
+
 def test_dist_output(capsys):
     assert run_cli("dist", "--dist", "paper:10") == 0
     out = capsys.readouterr().out

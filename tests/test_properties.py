@@ -1,16 +1,19 @@
 """Property-based checks over randomly generated preorder trees."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gwsearch import scheduler
 from gwsearch.bdfs import bdfs
 from gwsearch.gwtree import PreorderTree, read_tree, sample_at_least
 from gwsearch.offspring import parse_spec
-from gwsearch.scheduler import (_call_extent, run_adaptive, run_single,
-                                simulate_parallel)
+from gwsearch.scheduler import (SearchStats, _call_extent, run_adaptive,
+                                run_single, simulate_parallel)
+from gwsearch.seeds import substream
 
 
 def close_to_tree(draws):
@@ -31,6 +34,10 @@ def close_to_tree(draws):
 
 
 tree_degrees = st.lists(st.integers(0, 5), max_size=80).map(close_to_tree)
+# the root's degree keeps the walk from closing at once: wider job lists
+bushy_trees = st.tuples(st.integers(2, 5), st.lists(st.integers(0, 5), min_size=20,
+                                                    max_size=150)).map(
+    lambda draws: close_to_tree([draws[0], *draws[1]]))
 
 
 @given(degrees=tree_degrees, budget=st.integers(1, 30))
@@ -42,14 +49,38 @@ def test_every_node_evaluated_once(degrees, budget):
     assert stats.calls == stats.restarts + 1
 
 
-def check_block_tiling(tree, budget):
-    """run_single's block tiling against the sequential loop, field by field.
+def reference_loop(tree, budget, low_mark, high_mark, scale_factor, policy):
+    """The master loop one _call_extent at a time, as run_adaptive states it.
 
-    run_adaptive with marks (0, inf) is the fixed-budget sequential loop over
-    _call_extent, which test_call_extent_matches_bdfs holds to bdfs.
+    It never hands over to the block tiling, so it is the reference for it;
+    test_call_extent_matches_bdfs holds _call_extent to bdfs.
     """
+    ext = memoryview(tree.extent)
+    jobs = deque([0])
+    pop = jobs.pop if policy == "lifo" else jobs.popleft
+    restarts = evaluations = 0
+    sizes, budgets = [], []
+    while jobs:
+        pressure = len(jobs)
+        if pressure < low_mark:
+            budget = max(2, math.floor(budget / scale_factor))
+        elif pressure > high_mark:
+            budget = math.floor(budget * scale_factor)
+        sizes.append(pressure - 1)
+        budgets.append(budget)
+        generated, unexplored = _call_extent(ext, pop(), budget)
+        evaluations += generated
+        restarts += len(unexplored)
+        jobs.extend(unexplored)
+    return SearchStats(n=tree.n, policy=policy, restarts=restarts, calls=len(sizes),
+                       evaluations=evaluations, list_sizes=sizes, budgets=budgets)
+
+
+def check_block_tiling(tree, budget):
+    """run_single's block tiling against the call-by-call loop, field by field."""
     for policy in ("lifo", "fifo"):
         tiled = run_single(tree, budget, policy=policy)
+        assert tiled == reference_loop(tree, budget, 0, math.inf, 2, policy)
         assert tiled == run_adaptive(tree, budget, 0, math.inf, 2, policy)
 
 
@@ -70,7 +101,7 @@ def test_call_extent_matches_bdfs(degrees, budget):
     tree = PreorderTree(degrees)
     for s in range(tree.n):
         out = bdfs(tree.adj, s, max(tree.max_degree, 1), budget)
-        generated, unexplored = _call_extent(tree.extent, s, budget)
+        generated, unexplored = _call_extent(memoryview(tree.extent), s, budget)
         assert (generated, list(unexplored)) == (out.generated, out.unexplored())
 
 
@@ -79,6 +110,63 @@ def test_block_tiling_on_sampled_trees(spec):
     tree, _ = sample_at_least(parse_spec(spec), 10_000, seed=0, cap=20_000)
     for budget in (1, 7, 50, 500):
         check_block_tiling(tree, budget)
+
+
+@given(degrees=bushy_trees, budget=st.integers(1, 40),
+       low_mark=st.integers(2, 12) | st.floats(2, 12),
+       scale_factor=st.sampled_from([1.5, 2, 3]) | st.floats(1.01, 8),
+       policy=st.sampled_from(["lifo", "fifo"]))
+@example(degrees=[2, 0, 1, 3, 1, 1, 1, 1, 0, 0, 1, 1, 0], budget=12, low_mark=3,
+         scale_factor=3.0, policy="fifo")  # two FIFO generations at the pin
+@settings(max_examples=300, deadline=None)
+def test_adaptive_tail_matches_reference_loop(degrees, budget, low_mark,
+                                              scale_factor, policy):
+    # with high_mark = inf and low_mark >= 2 the budget pins once it reaches
+    # 2, usually mid-run, and the rest of the run is read off the tiling
+    tree = PreorderTree(degrees)
+    args = (tree, budget, low_mark, math.inf, scale_factor, policy)
+    assert run_adaptive(*args) == reference_loop(*args)
+
+
+@given(degrees=tree_degrees, budget=st.integers(1, 40),
+       low_mark=st.floats(0, 12), spread=st.integers(1, 90) | st.just(math.inf),
+       scale_factor=st.floats(1.01, 8), policy=st.sampled_from(["lifo", "fifo"]))
+@settings(max_examples=150, deadline=None)
+def test_adaptive_matches_reference_loop(degrees, budget, low_mark, spread,
+                                         scale_factor, policy):
+    # a finite high mark below n keeps the whole run call by call
+    tree = PreorderTree(degrees)
+    args = (tree, budget, low_mark, low_mark + spread, scale_factor, policy)
+    assert run_adaptive(*args) == reference_loop(*args)
+
+
+@pytest.mark.parametrize("policy", ["lifo", "fifo"])
+def test_adaptive_pin_at_the_high_mark(policy):
+    # a star's root call at b = 1 pushes n - 1 jobs, past any high mark < n - 1
+    star = PreorderTree([9] + [0] * 9)
+    for high_mark in (7, 8, 9, 10, math.inf):
+        for low_mark in (0, 1, 2):
+            args = (star, 1, low_mark, high_mark, 2, policy)
+            assert run_adaptive(*args) == reference_loop(*args)
+
+
+def test_adaptive_tail_with_two_fifo_generations(monkeypatch):
+    # this tree collapses to b = 2 under FIFO with two job generations queued
+    tree, _ = sample_at_least(parse_spec("ternary_uniform"), 10**5,
+                              seed=substream(7, 4), cap=5 * 10**5)
+    handed = []
+
+    def spy(tree, budget, jobs, policy):
+        handed.append((budget, list(jobs)))
+        return tiled_run(tree, budget, jobs, policy)
+
+    tiled_run = scheduler._tiled_run
+    monkeypatch.setattr(scheduler, "_tiled_run", spy)
+    args = (tree, 500, 8, math.inf, 2, "fifo")
+    assert run_adaptive(*args) == reference_loop(*args)
+    [(budget, jobs)] = handed
+    assert budget == 2
+    assert any(later < earlier for earlier, later in zip(jobs, jobs[1:]))
 
 
 TALL = 100_000

@@ -44,10 +44,11 @@ def test_calls_equal_restarts_plus_one(tree25):
 
 def test_call_extent_matches_bdfs(tree25):
     # every (s, b) of the example tree: the closed form against bdfs over adj
+    ext = memoryview(tree25.extent)
     for s in range(25):
         for b in range(1, 27):
             out = bdfs(tree25.adj, s, tree25.max_degree, b)
-            generated, unexplored = scheduler._call_extent(tree25.extent, s, b)
+            generated, unexplored = scheduler._call_extent(ext, s, b)
             assert (generated, list(unexplored)) == (out.generated, out.unexplored())
 
 
@@ -199,6 +200,7 @@ def test_policies_tuple():
 
 def exact_replay(tree, budget, workers, cost):
     """simulate_parallel's event loop in Fraction time, summed along chains."""
+    ext = memoryview(tree.extent)
     jobs = [0]
     idle = list(range(workers))
     busy = []  # (finish time, worker, nodes to push)
@@ -207,7 +209,7 @@ def exact_replay(tree, budget, workers, cost):
     while True:
         while jobs and idle:
             w = heapq.heappop(idle)
-            generated, unexplored = scheduler._call_extent(tree.extent, jobs.pop(), budget)
+            generated, unexplored = scheduler._call_extent(ext, jobs.pop(), budget)
             started += 1
             heapq.heappush(busy, (now + cost + generated, w, unexplored))
         if not busy:
