@@ -42,7 +42,6 @@ import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -122,8 +121,7 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     """
     b = min(budget, tree.n)  # larger budgets cut no subtree either
     ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
-    small = tree.n < 2**31  # then positions, extents and sizes fit an int32
-    starts = array("i" if small else "q")
+    starts = array("q")
     push = starts.append
     for s in sorted(jobs):
         end = s + ext[s]
@@ -131,39 +129,26 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
             push(s)
             e = ext[s]
             s += b if e > b else e
-    starts = np.frombuffer(starts, dtype=np.intc if small else np.int64)
-    extents = np.take(tree.extent, starts, out=np.empty_like(starts))
+    starts = np.frombuffer(starts, dtype=np.int64)
+    extents = tree.extent[starts]
     cut = extents > b
     roots = np.zeros_like(starts)
     at = starts[cut]
     roots[cut] = tree._walk[at + b] - tree._walk[at] + 1
-    del at
-    restarts = int(roots.sum(dtype=np.int64))
     # a call that cuts its subtree generates b - 1 + k nodes
-    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum(dtype=np.int64))
-    del cut
-    ends = extents
-    ends += starts
+    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum())
+    ends = starts + extents
     # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
     if policy == "fifo":  # job subtrees enclosing the start, plus the offset
-        generation = np.arange(starts.size, dtype=starts.dtype)
-        ends.sort()
-        generation -= np.searchsorted(ends, starts, side="right")
+        generation = np.arange(starts.size) - np.searchsorted(np.sort(ends), starts,
+                                                               side="right")
         generation[:np.searchsorted(starts, jobs[0])] += 1
         order = np.argsort(generation, kind="stable")
-        del generation
     else:
-        np.negative(ends, out=ends)
-        order = np.argsort(ends, kind="stable")
-    del ends, extents, starts
-    growth = roots[order]  # each call pushes its roots and pops itself
-    del order, roots
-    growth -= 1
-    sizes = np.cumsum(growth, dtype=growth.dtype)
-    sizes -= growth  # the growth before each pop
-    del growth
-    sizes += len(jobs) - 1
-    return restarts, evaluations, sizes.tolist()
+        order = np.argsort(-ends, kind="stable")
+    pushed = roots[order]
+    sizes = len(jobs) - 1 + np.cumsum(pushed) - pushed - np.arange(pushed.size)
+    return int(roots.sum()), evaluations, sizes.tolist()
 
 
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo") -> SearchStats:
@@ -224,12 +209,8 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
             tail_restarts, tail_evaluations, tail = _tiled_run(tree, budget, jobs, policy)
             restarts += tail_restarts
             evaluations += tail_evaluations
-            budgets.extend(repeat(budget, len(tail)))
-            if len(tail) > len(sizes):  # grow the longer list, so as to copy less
-                tail[:0] = sizes
-                sizes = tail
-            else:
-                sizes += tail
+            sizes += tail
+            budgets += [budget] * len(tail)
             break
         sizes.append(pressure - 1)
         budgets.append(budget)

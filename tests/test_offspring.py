@@ -153,6 +153,10 @@ def test_parse_spec():
     with pytest.raises(ValueError, match="must be an integer"):
         offspring.parse_spec("harmonic:x")
     assert offspring.parse_spec("harmonic: 3\t").param == 3
+    with pytest.raises(ValueError, match="could not parse"):
+        offspring.parse_spec("custom:a,b")
+    with pytest.raises(ValueError, match="needs probabilities"):
+        offspring.parse_spec("custom")
 
 
 @pytest.mark.parametrize("param", ["\uff13", "\u0663", "\u00b3", "+3", "-3", "1_0",
@@ -161,10 +165,6 @@ def test_parse_spec_parameter_is_ascii_digits(param):
     # int() takes the fullwidth and Arabic-Indic digits, a sign and underscores
     with pytest.raises(ValueError, match="parameter in .* must be an integer"):
         offspring.parse_spec(f"harmonic:{param}")
-    with pytest.raises(ValueError, match="could not parse"):
-        offspring.parse_spec("custom:a,b")
-    with pytest.raises(ValueError, match="needs probabilities"):
-        offspring.parse_spec("custom")
 
 
 def test_builtin_names_listed():
