@@ -202,8 +202,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # bind the stream at call time so output redirection is respected
-    results = verify.run_acceptance(args.level, stream=sys.stdout, seed=args.seed)
+    results = verify.run_acceptance(args.level, seed=args.seed)
     return 0 if all(r.passed for r in results) else 2
 
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .offspring import OffspringDistribution
+from .offspring import DRAW_BLOCK, OffspringDistribution
 
 
 class AttemptsExhausted(RuntimeError):
@@ -151,9 +151,10 @@ class PreorderTree:
 def _grow(dist: OffspringDistribution, rng: np.random.Generator, cap: int):
     """Degree chunks of one unconditioned tree in preorder, or Overflow.
 
-    Draws in chunks of 32, 64, ... 2^16 (capped at the nodes left before
-    cap) and stops the moment the open-branch count returns to zero.  The
-    draw sequence, hence the tree, depends only on the generator, not on
+    Draws in chunks of 32, 64, ... DRAW_BLOCK (the largest draw that
+    dist.draw serves in one block, without a copy), capped at the nodes left
+    before cap, and stops the moment the open-branch count returns to zero.
+    The draw sequence, hence the tree, depends only on the generator, not on
     chunk boundaries; the generator moves on by whole chunks.
     """
     chunks = []
@@ -171,7 +172,7 @@ def _grow(dist: OffspringDistribution, rng: np.random.Generator, cap: int):
         chunks.append(draws)
         total += m
         pending = int(walk[-1])
-        size = min(size * 2, 1 << 16)
+        size = min(size * 2, DRAW_BLOCK)
     return Overflow(count=total, pending=pending)
 
 

@@ -12,7 +12,7 @@ Builtin families, all critical:
     full_binary      (1/2, 0, 1/2)              variance 1,  span 2
     ternary_uniform  (1/3, 1/3, 1/3)            variance 2/3
     uniform:k        uniform on {0..k}, k = 2 only (mean k/2 otherwise)
-    harmonic:D       p_i = 1/(i*D), i = 1..D    variance (D-1)/2
+    harmonic:D       p_i = 1/(i*D), i = 1..D    variance (D-1)/2, D <= 10^6
     geometric        p_i = 2^-(i+1), truncated  variance 2
     poisson          exp(-1)/i!, truncated      variance 1
     binomial:k       Binomial(k, 1/k), k >= 2   variance 1 - 1/k
@@ -40,6 +40,10 @@ TRUNCATION_TAIL = 1e-13
 # |mean - 1| tolerance: exact families vs truncated ones
 _CRIT_TOL_EXACT = 1e-12
 _CRIT_TOL_TRUNCATED = 1e-10
+
+# Largest harmonic:D: its pmf builds in under a second, while D = 10^7 takes
+# seconds and 650 MB and then fails the criticality test.
+HARMONIC_MAX_DEGREE = 10**6
 
 # Offspring draws: buckets of the guide table (a power of two, so scaling a
 # uniform or the cdf by it is exact) and uniforms drawn per block.
@@ -202,6 +206,8 @@ def _truncate(term) -> list[float]:
 def _harmonic_pmf(delta: int) -> list[float]:
     if delta < 2:
         raise ValueError("harmonic family needs max degree >= 2")
+    if delta > HARMONIC_MAX_DEGREE:
+        raise ValueError(f"harmonic family needs max degree <= {HARMONIC_MAX_DEGREE:,}")
     p = [1.0 / (i * delta) for i in range(1, delta + 1)]
     p0 = 1.0 - math.fsum(p)
     return [p0] + p
@@ -260,8 +266,10 @@ def make_builtin(name: str, param: int | None = None) -> OffspringDistribution:
     return _finalize(recipe(param), key, param, assert_critical=True, crit_tol=tol)
 
 
-def parse_spec(spec: str, assert_critical: bool = True) -> OffspringDistribution:
+def parse_spec(spec: str) -> OffspringDistribution:
     """Parse a distribution spec string: ``name[:param]`` or ``custom:p0,p1,...``.
+
+    Every spec names a critical law; build others with make_custom.
 
     Examples: ``catalan``, ``harmonic:10`` (alias ``paper:10``),
     ``binomial:4``, ``custom:0.25,0.5,0.25``.
@@ -275,7 +283,7 @@ def parse_spec(spec: str, assert_critical: bool = True) -> OffspringDistribution
             probs = [float(tok) for tok in arg.split(",")]
         except ValueError:
             raise ValueError(f"could not parse custom pmf from {arg!r}") from None
-        return make_custom(probs, assert_critical=assert_critical)
+        return make_custom(probs)
     param = None
     if sep:
         arg = arg.strip(" \t\n\r\v\f")  # ASCII whitespace

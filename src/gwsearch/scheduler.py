@@ -15,15 +15,16 @@ of the subtree interval is tiled left to right by the unexplored subtrees.
 So the call at s explores exactly the block [s, s + min(b, ext[s])), the
 blocks of a run tile [0, n), and a fixed-budget run is read off that
 tiling (_tiled_run): one chase through the extents finds the starts, and
-both pop orders and their list sizes follow from a sort.  run_single is
-that run from the root.  run_adaptive makes one call at a time
-(_call_extent, repeated extent jumps, O(restarts) per call) while its
-budget can still move, since the budget depends on the list size the loop
-has reached; once no update can fire again, it hands the pending jobs to
-_tiled_run.  simulate_parallel keeps one call at a time: a simulator that
-replayed precomputed calls inside its event loop measured no faster.  The
-tests hold _call_extent to bdfs over tree.adj, call by call, and
-run_single and run_adaptive to a call-by-call master loop.
+both pop orders and their list sizes follow from a sort.  run_adaptive
+makes one call at a time (_call_extent, repeated extent jumps, O(restarts)
+per call) while its budget can still move, since the budget depends on the
+list size the loop has reached; once no update can fire again, it hands the
+pending jobs to _tiled_run.  run_single is run_adaptive at marks (0, inf),
+which hand the root job to _tiled_run at the first pressure check.
+simulate_parallel keeps one call at a time: a simulator that replayed
+precomputed calls inside its event loop measured no faster.  The tests hold
+_call_extent to bdfs over tree.adj, call by call, and run_single and
+run_adaptive to a call-by-call master loop.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -154,18 +155,10 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo") -> SearchStats:
     """Run the master loop at a fixed budget until the job list drains.
 
-    The run is read off the preorder block tiling (_tiled_run) from the job
-    list holding the root: one chase through the extents finds the starts,
-    and both pop orders and their list sizes follow from a sort.
+    This is run_adaptive at marks (0, inf), where no budget update can fire,
+    so the whole run is read off the preorder block tiling (_tiled_run).
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-    restarts, evaluations, sizes = _tiled_run(tree, budget, (0,), policy)
-    return SearchStats(n=tree.n, policy=policy, restarts=restarts,
-                       calls=len(sizes), evaluations=evaluations,
-                       list_sizes=sizes, budgets=[budget] * len(sizes))
+    return run_adaptive(tree, budget, 0, math.inf, 2, policy)
 
 
 def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
@@ -176,8 +169,10 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     The decision uses the list size as the master sees it when assigning
     work, i.e. before the next start vertex is popped: below low_mark the
     budget divides by scale_factor (floored, never below 2), above high_mark
-    it multiplies.  Marks (0, inf) reproduce run_single exactly.  The budget
-    used by each call is reported in SearchStats.budgets.
+    it multiplies (floored, never above sys.maxsize: no tree has that many
+    nodes, so a saturated budget cuts nothing).  Marks (0, inf) are
+    run_single.  The budget used by each call is reported in
+    SearchStats.budgets.
 
     The loop makes one call at a time until no update can fire again: the
     list never holds more than n jobs, so with high_mark >= n the budget
@@ -187,8 +182,8 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     list, read off the block tiling (_tiled_run).
     """
     if initial_budget < 1:
-        raise ValueError("initial budget must be >= 1")
-    if scale_factor <= 1:
+        raise ValueError("budget must be >= 1")
+    if not scale_factor > 1:  # also rejects NaN
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
         raise ValueError("need 0 <= low_mark < high_mark")
@@ -204,7 +199,7 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         if pressure < low_mark:
             budget = max(2, math.floor(budget / scale_factor))
         elif pressure > high_mark:
-            budget = math.floor(budget * scale_factor)
+            budget = math.floor(min(budget * scale_factor, sys.maxsize))
         if pinned and (budget == 2 or low_mark <= 1):
             tail_restarts, tail_evaluations, tail = _tiled_run(tree, budget, jobs, policy)
             restarts += tail_restarts

@@ -19,8 +19,6 @@ trees with n >= 10^6.
 """
 
 import dataclasses
-import functools
-import sys
 import time
 
 import numpy as np
@@ -155,24 +153,6 @@ def _check_restart_law_scale():
                   f"table column within {table_worst:.0%} of sqrt(pi/8b)")
 
 
-def _fresh_seed() -> int:
-    # not secrets.randbits: importing secrets here would load hashlib and
-    # OpenSSL (about 4 MB of RSS) on every import of gwsearch
-    return int(np.random.default_rng().integers(2 ** 63))
-
-
-def _seeded(check):
-    """Give a randomized check a seed, drawn when none is passed, and print it."""
-    @functools.wraps(check)
-    def run(seed=None):
-        if seed is None:
-            seed = _fresh_seed()
-        passed, detail = check(np.random.default_rng(seed))
-        return passed, f"{detail}, seed={seed}"
-    return run
-
-
-@_seeded
 def _check_structural_invariants(rng):
     specs = ("catalan", "full_binary", "ternary_uniform", "harmonic:3",
              "geometric", "poisson", "binomial:4")
@@ -235,7 +215,6 @@ def _check_structural_invariants(rng):
                   f"invariance, positivity; {rotations} unique rotations")
 
 
-@_seeded
 def _check_simulation(rng):
     tree = example_tree()
     report = scheduler.simulate_parallel(tree, 13, workers=1, restart_cost=0)
@@ -300,19 +279,22 @@ LEVELS = ("fast", "full")
 _SEEDED_CHECKS = (6, 7)
 
 
-def run_acceptance(level: str = "fast", stream=sys.stdout, seed=None):
+def run_acceptance(level: str = "fast", seed=None):
     """Run the acceptance checks; return a list of CriterionResult.
 
     level "fast" runs the fixture and oracle checks; "full" runs everything
-    including the million-node sweeps.  One line per check is written to
-    stream (pass None to silence), plus a closing summary naming failures.
-    The randomized checks 6 and 7 share one seed, drawn afresh unless seed
-    (an int >= 0) replays a printed one; each prints it in its line.
+    including the million-node sweeps.  One line per check is printed to
+    sys.stdout, plus a closing summary naming failures.  The randomized
+    checks 6 and 7 each get a generator seeded with the same seed, drawn
+    afresh unless seed (an int >= 0) replays a printed one, and their lines
+    end with it.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     if seed is None:
-        seed = _fresh_seed()
+        # not secrets.randbits: importing secrets here would load hashlib and
+        # OpenSSL (about 4 MB of RSS) on every import of gwsearch
+        seed = int(np.random.default_rng().integers(2 ** 63))
     elif seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     results = []
@@ -320,18 +302,19 @@ def run_acceptance(level: str = "fast", stream=sys.stdout, seed=None):
         if tier == "full" and level != "full":
             continue
         start = time.perf_counter()
-        passed, detail = check(seed) if number in _SEEDED_CHECKS else check()
+        if number in _SEEDED_CHECKS:
+            passed, detail = check(np.random.default_rng(seed))
+            detail = f"{detail}, seed={seed}"
+        else:
+            passed, detail = check()
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, name, passed, detail, elapsed))
-        if stream is not None:
-            status = "PASS" if passed else "FAIL"
-            print(f"check {number} {name:<28s} {status}  {detail}  ({elapsed:.2f}s)",
-                  file=stream)
-    if stream is not None:
-        failed = [r for r in results if not r.passed]
-        if failed:
-            names = ", ".join(f"{r.number} ({r.name})" for r in failed)
-            print(f"{len(failed)} of {len(results)} checks FAILED: {names}", file=stream)
-        else:
-            print(f"all {len(results)} checks passed", file=stream)
+        status = "PASS" if passed else "FAIL"
+        print(f"check {number} {name:<28s} {status}  {detail}  ({elapsed:.2f}s)")
+    failed = [r for r in results if not r.passed]
+    if failed:
+        names = ", ".join(f"{r.number} ({r.name})" for r in failed)
+        print(f"{len(failed)} of {len(results)} checks FAILED: {names}")
+    else:
+        print(f"all {len(results)} checks passed")
     return results

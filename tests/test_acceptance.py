@@ -1,55 +1,55 @@
 """Acceptance gate: every numbered verification check must pass.
 
-Each test drives one check from the verify module registry and prints its
-pass/fail line (visible with pytest -s or on failure), so this file doubles
-as the scripted form of `gwsearch verify --level full`.  The two scale
+Each test runs one check through verify.run_acceptance, with the registry
+narrowed to that check, so its pass/fail line (visible with pytest -s or on
+failure) is the one `gwsearch verify --level full` prints.  The two scale
 checks sample multi-million-node trees and take a few seconds each.
 """
 
+import contextlib
+import io
 import re
 
 from gwsearch import gwtree, verify
 
 
-def _run(number):
-    entry = next(c for c in verify._CHECKS if c[0] == number)
-    _, name, _, check = entry
-    passed, detail = check()
-    status = "PASS" if passed else "FAIL"
-    print(f"criterion {number} {name}: {status} - {detail}")
-    assert passed, f"criterion {number} ({name}) failed: {detail}"
+def _run(number, monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS",
+                        tuple(c for c in verify._CHECKS if c[0] == number))
+    [result] = verify.run_acceptance("full")
+    assert result.passed, f"criterion {number} ({result.name}) failed: {result.detail}"
 
 
-def test_criterion_1_example_tree_fixtures():
-    _run(1)
+def test_criterion_1_example_tree_fixtures(monkeypatch):
+    _run(1, monkeypatch)
 
 
-def test_criterion_2_size_law_oracle_agreement():
-    _run(2)
+def test_criterion_2_size_law_oracle_agreement(monkeypatch):
+    _run(2, monkeypatch)
 
 
-def test_criterion_3_monte_carlo_expected_work():
-    _run(3)
+def test_criterion_3_monte_carlo_expected_work(monkeypatch):
+    _run(3, monkeypatch)
 
 
-def test_criterion_4_square_root_work_asymptotic():
-    _run(4)
+def test_criterion_4_square_root_work_asymptotic(monkeypatch):
+    _run(4, monkeypatch)
 
 
-def test_criterion_5_restart_law_at_scale():
-    _run(5)
+def test_criterion_5_restart_law_at_scale(monkeypatch):
+    _run(5, monkeypatch)
 
 
-def test_criterion_6_structural_invariants():
-    _run(6)
+def test_criterion_6_structural_invariants(monkeypatch):
+    _run(6, monkeypatch)
 
 
-def test_criterion_7_simulation_sanity():
-    _run(7)
+def test_criterion_7_simulation_sanity(monkeypatch):
+    _run(7, monkeypatch)
 
 
-def test_criterion_8_budget_scaling_of_restarts():
-    _run(8)
+def test_criterion_8_budget_scaling_of_restarts(monkeypatch):
+    _run(8, monkeypatch)
 
 
 def test_randomized_checks_replay_from_printed_seed(monkeypatch):
@@ -68,7 +68,7 @@ def test_randomized_checks_replay_from_printed_seed(monkeypatch):
 
     def run(seed):
         sizes.clear()
-        results = verify.run_acceptance("fast", stream=None, seed=seed)
+        results = verify.run_acceptance("fast", seed=seed)
         assert all(r.passed for r in results)
         return [r.detail for r in results], list(sizes)
 
@@ -78,3 +78,15 @@ def test_randomized_checks_replay_from_printed_seed(monkeypatch):
     assert run(int(printed.pop())) == (lines, drawn)
     assert run(2024) == run(2024)
     assert run(2025)[1] != run(2024)[1]
+
+
+def test_output_goes_to_the_current_stdout(monkeypatch):
+    monkeypatch.setattr(verify, "_CHECKS",
+                        tuple(c for c in verify._CHECKS if c[0] in (1, 7)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        verify.run_acceptance("fast", seed=3)
+    lines = out.getvalue().splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [["check", "1"], ["check", "7"]]
+    assert "seed=3" in lines[1]
+    assert lines[2:] == ["all 2 checks passed"]

@@ -58,6 +58,8 @@ def test_dist_rejects_non_critical(capsys):
     assert "not critical" in capsys.readouterr().err
     assert run_cli("dist", "--dist", "binomial:100000") == 1
     assert "too large for float coefficients" in capsys.readouterr().err
+    assert run_cli("dist", "--dist", "harmonic:1000001") == 1
+    assert "max degree <= 1,000,000" in capsys.readouterr().err
 
 
 def test_gen_exact(tmp_path, capsys):
@@ -129,6 +131,8 @@ def test_search_budget_extremes(tree25_path, tmp_path, capsys):
     assert run_cli("search", "--tree", tree25_path, "--budget", "100",
                    "--out", str(summary)) == 0
     assert summary.read_bytes().splitlines()[1] == b"25,100,lifo,0,1,24"
+    assert run_cli("search", "--tree", tree25_path, "--budget", "0") == 1
+    assert capsys.readouterr().err == "gwsearch: error: budget must be >= 1\n"
 
 
 def test_search_malformed_tree(tmp_path, capsys):

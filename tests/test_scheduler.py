@@ -2,13 +2,14 @@
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gwsearch import scheduler
 from gwsearch.bdfs import bdfs
-from gwsearch.gwtree import sample_at_least
+from gwsearch.gwtree import PreorderTree, sample_at_least
 from gwsearch.offspring import parse_spec
 from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
 
@@ -109,7 +110,7 @@ def test_adaptive_divide_clamps_at_two(tree25):
 
 
 def test_adaptive_validation(tree25):
-    with pytest.raises(ValueError, match="initial budget must be >= 1"):
+    with pytest.raises(ValueError, match="^budget must be >= 1$"):
         run_adaptive(tree25, 0, 0, 10, 2)
     with pytest.raises(ValueError, match="scale_factor must be > 1"):
         run_adaptive(tree25, 13, 0, 10, 1.0)
@@ -117,6 +118,19 @@ def test_adaptive_validation(tree25):
         run_adaptive(tree25, 13, 10, 10, 2)
     with pytest.raises(ValueError, match="need 0 <= low_mark < high_mark"):
         run_adaptive(tree25, 13, -1, 10, 2)
+
+
+def test_adaptive_multiply_saturates():
+    # past pressure 1 every check multiplies: about 3,000 in a row
+    star = PreorderTree([2999] + [0] * 2999)
+    for factor in (2.0, 2, math.inf):
+        stats = run_adaptive(star, 1, 0, 1, factor)
+        assert stats.restarts == 2999
+        assert max(stats.budgets) == sys.maxsize
+    # a budget above the ceiling comes down to it at its first multiply
+    assert run_adaptive(star, 2 * sys.maxsize, 0, 0.5, 2).budgets == [sys.maxsize]
+    with pytest.raises(ValueError, match="scale_factor must be > 1"):
+        run_adaptive(star, 1, 0, 1, math.nan)
 
 
 def test_simulate_single_worker(tree25):
