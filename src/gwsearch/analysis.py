@@ -42,7 +42,7 @@ from .offspring import OffspringDistribution
 # and 380 MB); past this only mu_analytic / mu_mc are offered
 DP_LIMIT = 4_000_000
 _RATIONAL_DP_LIMIT = 512
-_MC_CHUNK = 1 << 20  # trees grown per mu_mc batch; bounds its working memory
+_MC_CHUNK = 1 << 20  # trees grown per mu_mc batch; bounds its per-step draw arrays
 _ENUMERATION_LIMIT = 12
 
 
@@ -97,9 +97,9 @@ def mu_analytic(sigma2: float, budget: int) -> float:
     Takes the offspring variance rather than a distribution: this is the one
     quantity the leading order depends on.
     """
-    if sigma2 <= 0:
+    if not sigma2 > 0:  # also rejects NaN
         raise ValueError("sigma2 must be positive")
-    if budget < 1:
+    if not budget >= 1:
         raise ValueError("budget must be >= 1")
     return math.sqrt(8.0 * budget / (math.pi * sigma2))
 
@@ -133,7 +133,7 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     are exactly 0.0 and none is negative.  size_pmf_rational is its exact
     oracle.
     """
-    if t_max < 1:
+    if not t_max >= 1:  # also rejects NaN
         raise ValueError("t_max must be >= 1")
     if t_max > DP_LIMIT:
         raise ValueError(
@@ -240,7 +240,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
 
 def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
     """E min(N, b) from the exact size law: sum_{t<=b} t P{N=t} + b P{N>b}."""
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
     law = size_pmf_exact(dist, budget)
     value = math.fsum(t * law.pmf[t] for t in range(1, budget + 1)) + budget * law.tail
@@ -253,18 +253,20 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
 
     All live trees advance one node per step, so a batch costs b draws in
     the worst case but only sum(min(N_i, b)) draws in total.  Returns the
-    sample mean with its standard error.
+    sample mean with its standard error.  The sums of min(N_i, b) and of its
+    square are exact Python ints, so the mean is correctly rounded at any
+    sample count.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
-    if samples < 1:
+    if not samples >= 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    total = total_sq = 0.0
+    total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
-        vals = _min_size_batch(dist, budget, min(_MC_CHUNK, samples - start), rng)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        s, sq = _min_size_batch(dist, budget, min(_MC_CHUNK, samples - start), rng)
+        total += s
+        total_sq += sq
     mean = total / samples
     if samples == 1:
         return MuEstimate(value=mean, method="monte-carlo", std_error=None)
@@ -274,32 +276,37 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
 
 
 def _min_size_batch(dist, budget, m, rng):
-    # out stays int64: the caller squares it.  After t steps a tree has at
-    # most 1 + t * (max_degree - 1) open branches, which int32 holds unless
-    # budget * max_degree reaches 2^31.
-    out = np.full(m, budget, dtype=np.int64)
-    # the live trees' ids and open branches, compacted to the front of these
-    # buffers after every step; that keeps each tree's place in the draw order
-    alive = np.arange(m, dtype=np.int32)
-    branch_type = np.int32 if budget * len(dist.pmf) < 2 ** 31 else np.int64
-    open_branches = np.ones(m, dtype=branch_type)
+    """Sum of min(N_i, b) and of its square over m fresh trees, as ints.
+
+    A live tree is kept as 1 + the sum of its draws so far, which is t when
+    it closes at step t (its open branches are that sum minus t).  The live
+    trees are compacted to the front of the buffer after every step in
+    their order, so each reads the same uniforms at every step.  A tree
+    that closes at step t < b adds t, and every tree still open at step b
+    adds b.  The sums stay below 1 + budget * max_degree, which int32 holds
+    unless budget * max_degree reaches 2^31.
+    """
+    sum_type = np.int32 if budget * len(dist.pmf) < 2 ** 31 else np.int64
+    sums = np.ones(m, dtype=sum_type)
     mask = np.empty(m, dtype=bool)
+    total = total_sq = 0
     live = m
-    for t in range(1, budget + 1):
-        branches = open_branches[:live]
-        branches += dist.draw(rng, live)
-        branches -= 1
-        done = np.equal(branches, 0, out=mask[:live])
-        if t < budget:
-            out[alive[:live][done]] = t
-        keep = np.logical_not(done, out=done)
+    for t in range(1, budget):
+        live_sums = sums[:live]
+        live_sums += dist.draw(rng, live)
+        keep = np.not_equal(live_sums, t, out=mask[:live])
         kept = int(np.count_nonzero(keep))
-        alive[:kept] = alive[:live][keep]
-        open_branches[:kept] = branches[keep]
+        closed = live - kept
+        total += t * closed
+        total_sq += t * t * closed
+        sums[:kept] = live_sums[keep]
         live = kept
         if live == 0:
-            break
-    return out
+            return total, total_sq
+    # every tree left counts b whatever step b draws, but the draw keeps the
+    # generator where b full steps leave it
+    dist.draw(rng, live)
+    return total + budget * live, total_sq + budget * budget * live
 
 
 def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:

@@ -59,7 +59,7 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
     pair popped on backtrack resumes the parent's child scan where it left
     off.  A None child advances j without pushing, counting, or outputting.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")

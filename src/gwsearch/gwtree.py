@@ -22,6 +22,7 @@ no tree sizes exist off that lattice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +53,7 @@ class Overflow:
 
 
 MAX_DEGREE = int(np.iinfo(np.int32).max)  # degrees are stored as int32
+FIRST_CHUNK = 32  # draws in the first chunk of every sampling attempt
 
 
 class PreorderTree:
@@ -95,23 +97,27 @@ class PreorderTree:
     def extent(self) -> np.ndarray:
         """Subtree sizes for every node, computed in one vectorized pass.
 
-        The subtree of v ends at the first u > v with S[u] = S[v] - 1.
-        Down-steps are unit, so the walk first reaches a lower level at a
-        position entered right after a leaf.  The keys S[u] * (n + 2) + u of
-        those positions, sorted, order them by (level, position), and u is
-        the first key past (S[v] - 1, v): one searchsorted for all v.
+        A leaf's extent is 1.  The subtree of an internal node v ends at the
+        first u > v with S[u] = S[v] - 1.  Down-steps are unit, so the walk
+        first reaches a lower level at a position entered right after a
+        leaf.  The keys S[u] * (n + 2) + u of those positions, sorted, order
+        them by (level, position), and u is the first key past (S[v] - 1, v):
+        one searchsorted for all internal v.
         """
         base = self.n + 2
         down = np.flatnonzero(self.degrees == 0) + 1
         keys = np.multiply(self._walk[down], base, dtype=np.int64)
         keys += down
         keys.sort()
-        pos = np.arange(self.n, dtype=np.int64)
-        queries = np.multiply(self._walk[:-1] - 1, base, dtype=np.int64)
-        queries += pos
-        ext = keys[np.searchsorted(keys, queries, side="right")]
-        ext %= base  # numpy modulo keeps the divisor's sign: safe at level -1
-        ext -= pos
+        inner = np.flatnonzero(self.degrees)
+        queries = np.multiply(self._walk[inner] - 1, base, dtype=np.int64)
+        queries += inner
+        end = keys[np.searchsorted(keys, queries, side="right")]
+        del queries, keys  # freed before ext: a lower peak
+        end %= base  # numpy modulo keeps the divisor's sign: safe at level -1
+        end -= inner
+        ext = np.ones(self.n, dtype=np.int64)
+        ext[inner] = end
         ext.flags.writeable = False
         return ext
 
@@ -148,22 +154,23 @@ class PreorderTree:
         return f"PreorderTree(n={self.n}, max_degree={self.max_degree})"
 
 
-def _grow(dist: OffspringDistribution, rng: np.random.Generator, cap: int):
+def _grow(draw, cap: int):
     """Degree chunks of one unconditioned tree in preorder, or Overflow.
 
-    Draws in chunks of 32, 64, ... DRAW_BLOCK (the largest draw that
-    dist.draw serves in one block, without a copy), capped at the nodes left
-    before cap, and stops the moment the open-branch count returns to zero.
-    The draw sequence, hence the tree, depends only on the generator, not on
-    chunk boundaries; the generator moves on by whole chunks.
+    draw(m) returns the next m offspring draws.  Draws in chunks of
+    FIRST_CHUNK, twice that, ... DRAW_BLOCK (the largest draw that dist.draw
+    serves in one block, without a copy), capped at the nodes left before
+    cap, and stops the moment the open-branch count returns to zero.  The draw sequence, hence
+    the tree, depends only on the generator, not on chunk boundaries; the
+    generator moves on by whole chunks.
     """
     chunks = []
     pending = 1
     total = 0
-    size = 32
+    size = FIRST_CHUNK
     while total < cap:
         m = min(size, cap - total)
-        draws = dist.draw(rng, m)
+        draws = draw(m)
         walk = pending + np.cumsum(draws - 1)
         hit = np.flatnonzero(walk == 0)
         if hit.size:
@@ -187,10 +194,82 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     count returns to zero.  Chunked and vectorized; the draw sequence (hence
     the tree) depends only on the seed, not on chunk boundaries.
     """
-    if cap < 1:
+    if not cap >= 1:  # also rejects NaN
         raise ValueError("cap must be >= 1")
-    got = _grow(dist, np.random.default_rng(seed), cap)
+    rng = np.random.default_rng(seed)
+    got = _grow(lambda m: dist.draw(rng, m), cap)
     return got if isinstance(got, Overflow) else _tree(got)
+
+
+class _ReadAhead:
+    """The offspring draws of one generator, read ahead in blocks.
+
+    take(m) returns the next m draws, equal to what dist.draw(rng, m) would
+    return there.  Blocks start at 512 draws and double up to DRAW_BLOCK,
+    so a short search reads little ahead.  skip_small settles, within the
+    current block, the attempts that close too small inside their first
+    chunk.  close() puts the generator where the draws taken so far would
+    have left it, so a caller's Generator ends where chunked draws end.
+    """
+
+    def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
+        self.dist = dist
+        self.rng = rng
+        self.block = np.empty(0, dtype=np.intp)
+        self.pos = 0  # draws of the block taken so far
+        self.size = 512
+        self.state = None  # the generator's state before the block
+        # rows of the block flagged from grid (-1: none) up to grid_end: the
+        # starts of those whose attempt does not close too small
+        self.grid = -1
+        self.grid_end = 0
+        self.unflagged = np.empty(0, dtype=np.intp)
+
+    def take(self, m: int) -> np.ndarray:
+        end = self.pos + m
+        if end <= self.block.size:
+            self.pos = end
+            return self.block[end - m:end]
+        head = self.block[self.pos:]
+        self.state = self.rng.bit_generator.state
+        self.block = self.dist.draw(self.rng, max(self.size, m - head.size))
+        self.size = min(2 * self.size, DRAW_BLOCK)
+        self.grid = -1
+        self.pos = m - head.size
+        tail = self.block[:self.pos]
+        return np.concatenate((head, tail)) if head.size else tail
+
+    def skip_small(self, first: int, small: int, limit) -> int:
+        """Take the attempts, at most limit, that close at one of their first
+        small nodes (small <= first) from here on in the block; their count.
+
+        Each such attempt used exactly one first chunk of ``first`` draws,
+        so the block is cut into rows of that length and all rows are
+        flagged at once; the run of flagged rows up to the next unflagged
+        one is found by one search.  The flags hold until an attempt ends
+        off the row grid.
+        """
+        rows = (self.block.size - self.pos) // first
+        if not rows:
+            return 0
+        if self.grid < 0 or (self.pos - self.grid) % first:
+            chunks = self.block[self.pos:self.pos + rows * first].reshape(rows, first)
+            walk = chunks[:, :small].cumsum(axis=1)
+            walk -= np.arange(small)  # open branches after each node
+            # down-steps are unit, so a walk that closes passes through 0
+            self.grid = self.pos
+            self.grid_end = self.pos + rows * first
+            self.unflagged = self.pos + first * np.flatnonzero(walk.min(axis=1) > 0)
+        i = np.searchsorted(self.unflagged, self.pos)
+        stop = self.unflagged[i] if i < self.unflagged.size else self.grid_end
+        skipped = min(int(stop - self.pos) // first, limit)
+        self.pos += skipped * first
+        return skipped
+
+    def close(self) -> None:
+        if self.pos < self.block.size:
+            self.rng.bit_generator.state = self.state
+            self.rng.random(self.pos)
 
 
 def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
@@ -201,24 +280,39 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     failed and is redrawn, so the returned law is the unconditional one
     restricted to n_min <= n <= cap.  Raises AttemptsExhausted past
     max_attempts (None = keep trying).  Only the accepted tree is built.
+
+    The draws are read ahead, and the many attempts that close too small
+    inside their first chunk are settled in bulk; the rest grow by _grow.
+    Trees, attempt counts and the generator's final position equal those of
+    growing every attempt by _grow from dist.draw.
     """
-    if n_min < 1:
+    if not n_min >= 1:  # also rejects NaN
         raise ValueError("n_min must be >= 1")
     if cap is None:
         cap = 100 * n_min
-    if cap < n_min:
+    if not cap >= n_min:
         raise ValueError("cap must be >= n_min")
-    if max_attempts is not None and max_attempts < 1:
+    if max_attempts is not None and not max_attempts >= 1:
         raise ValueError("max_attempts must be >= 1")
-    rng = np.random.default_rng(seed)
+    reader = _ReadAhead(dist, np.random.default_rng(seed))
+    first = min(FIRST_CHUNK, cap)  # the first chunk of every attempt
+    small = int(min(first, n_min - 1))  # an attempt closing at these nodes fails
+    limit = math.inf if max_attempts is None else max_attempts
     attempts = 0
-    while True:
-        attempts += 1
-        got = _grow(dist, rng, cap)
-        if not isinstance(got, Overflow) and sum(map(len, got)) >= n_min:
-            return _tree(got), attempts
-        if max_attempts is not None and attempts >= max_attempts:
-            raise AttemptsExhausted(attempts, f"tree with n >= {n_min}")
+    try:
+        while True:
+            if small:
+                attempts += reader.skip_small(first, small, limit - attempts)
+                if attempts >= limit:
+                    raise AttemptsExhausted(attempts, f"tree with n >= {n_min}")
+            attempts += 1
+            got = _grow(reader.take, cap)
+            if not isinstance(got, Overflow) and sum(map(len, got)) >= n_min:
+                return _tree(got), attempts
+            if attempts >= limit:
+                raise AttemptsExhausted(attempts, f"tree with n >= {n_min}")
+    finally:
+        reader.close()
 
 
 def sample_exact(dist: OffspringDistribution, n: int, seed=None,
@@ -236,7 +330,7 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
-    if max_attempts is not None and max_attempts < 1:
+    if max_attempts is not None and not max_attempts >= 1:
         raise ValueError("max_attempts must be >= 1")
     rng = np.random.default_rng(seed)
     target = n - 1

@@ -181,7 +181,7 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     check on, the rest of the run is a fixed-budget run from the current job
     list, read off the block tiling (_tiled_run).
     """
-    if initial_budget < 1:
+    if not initial_budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
     if not scale_factor > 1:  # also rejects NaN
         raise ValueError("scale_factor must be > 1")
@@ -231,7 +231,7 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     workers that never receive a job; speedup compares against the n - 1
     units a single uninterrupted traversal would need.
     """
-    if budget < 1:
+    if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")

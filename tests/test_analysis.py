@@ -200,6 +200,19 @@ def test_mu_mc_edge_cases():
         mu_mc(CATALAN, 5, samples=0)
 
 
+def test_nan_arguments_rejected():
+    for call, message in ((lambda: mu_mc(CATALAN, math.nan), "budget must be >= 1"),
+                          (lambda: mu_mc(CATALAN, 5, samples=math.nan),
+                           "samples must be >= 1"),
+                          (lambda: mu_exact(CATALAN, math.nan), "budget must be >= 1"),
+                          (lambda: mu_analytic(1.0, math.nan), "budget must be >= 1"),
+                          (lambda: mu_analytic(math.nan, 10), "sigma2 must be positive"),
+                          (lambda: size_pmf_exact(CATALAN, math.nan),
+                           "t_max must be >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_size_pmf_asymptotic_ratio():
     for dist in (CATALAN, FULL_BINARY):
         exact = size_pmf_exact(dist, 2001).pmf[2001]

@@ -76,7 +76,8 @@ def test_tiling_outputs_every_node_once(tree25):
 
 
 def test_validation(tree25):
-    with pytest.raises(ValueError, match="budget must be >= 1"):
-        bdfs(tree25.adj, 0, tree25.max_degree, 0)
+    for budget in (0, float("nan")):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            bdfs(tree25.adj, 0, tree25.max_degree, budget)
     with pytest.raises(ValueError, match="max_degree must be >= 1"):
         bdfs(tree25.adj, 0, 0, 5)

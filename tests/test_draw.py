@@ -126,6 +126,14 @@ AT_LEAST = [
      "3b9cff705de7286cb32aa988a9d9255d90299a238ce6d0ababf02b3bff743908"),
     ("binomial:1000", 300, 15, 596, 5,
      "06dc43684e75218299c12ee3493521cb11647e59c502cba7132dcaa04503596b"),
+    ("catalan", 20, 18, 21, 3,  # accepted inside its first 32-draw chunk
+     "9677da7004718f7a545902e37ebca230e54de658a9c1beb06c2be00c005c21a0"),
+]
+# (spec, n_min, cap, max_attempts, seed, digest or attempts and next double)
+AT_LEAST_CAPPED = [
+    ("catalan", 10, 17, None, 17,  # first chunks shorter than 32 draws
+     "97f02c8d89929f829144177ba8038f8934a24dbf836a665347de6e5facfdfdc2"),
+    ("harmonic:10", 1000, 50_000, 100, 23, "exhausted 100 0x1.f08628fa97224p-3"),
 ]
 EXACT = [
     ("ternary_uniform", 2001, 21, 11,
@@ -137,12 +145,15 @@ EXACT = [
     ("geometric", 700, 24, 103,
      "984b99a023396b9f524e526f9bf2ec97dc88a30cc0ba837bb0757c423d16b857"),
 ]
+# mu_mc value and, keyed by seed, its standard error
 MU_MC = [
     ("harmonic:10", 100, 20_000, 31, "0x1.e8fd21ff2e48fp+2"),
     ("ternary_uniform", 1000, 3000, 32, "0x1.e8ee402bb0cf8p+5"),
     ("geometric", 50, 70_000, 33, "0x1.f95810624dd2fp+2"),
     ("catalan", 3, (1 << 20) + 5, 34, "0x1.2fe969070f2ddp+1"),  # two batches
 ]
+MU_MC_SE = {31: "0x1.2f1081cf4d6c1p-3", 32: "0x1.ceaaed78e1f21p+1",
+            33: "0x1.b896c7ab2dae0p-5", 34: "0x1.b6dd1a93d3865p-11"}
 
 
 @pytest.mark.parametrize("spec,n_min,seed,n,attempts,expected", AT_LEAST)
@@ -152,6 +163,19 @@ def test_sample_at_least_frozen(spec, n_min, seed, n, attempts, expected):
                                        cap=50 * n_min)
     assert (tree.n, got) == (n, attempts)
     assert digest(tree, got, rng) == expected
+
+
+@pytest.mark.parametrize("spec,n_min,cap,max_attempts,seed,expected", AT_LEAST_CAPPED)
+def test_sample_at_least_frozen_capped(spec, n_min, cap, max_attempts, seed, expected):
+    rng = np.random.default_rng(seed)
+    try:
+        tree, got = gwtree.sample_at_least(offspring.parse_spec(spec), n_min, seed=rng,
+                                           max_attempts=max_attempts, cap=cap)
+    except gwtree.AttemptsExhausted as exc:
+        assert f"exhausted {exc.attempts} {rng.random().hex()}" == expected
+    else:
+        assert n_min <= tree.n <= cap
+        assert digest(tree, got, rng) == expected
 
 
 @pytest.mark.parametrize("spec,n,seed,attempts,expected", EXACT)
@@ -165,4 +189,5 @@ def test_sample_exact_frozen(spec, n, seed, attempts, expected):
 @pytest.mark.parametrize("spec,budget,samples,seed,expected", MU_MC)
 def test_mu_mc_frozen(spec, budget, samples, seed, expected):
     dist = offspring.parse_spec(spec)
-    assert analysis.mu_mc(dist, budget, samples=samples, seed=seed).value.hex() == expected
+    est = analysis.mu_mc(dist, budget, samples=samples, seed=seed)
+    assert (est.value.hex(), est.std_error.hex()) == (expected, MU_MC_SE[seed])

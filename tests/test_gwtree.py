@@ -1,6 +1,8 @@
 """Preorder trees: structure queries, samplers, file round-trip."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,7 +174,7 @@ def test_sample_at_least():
         gwtree.sample_at_least(cat, 0, 1)
     with pytest.raises(ValueError, match="cap must be >= n_min"):
         gwtree.sample_at_least(cat, 10, 1, cap=9)
-    for attempts in (0, -1):
+    for attempts in (0, -1, math.nan):
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
             gwtree.sample_at_least(cat, 10, 1, max_attempts=attempts)
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
@@ -185,6 +187,25 @@ def test_sample_at_least_exhaustion():
     with pytest.raises(gwtree.AttemptsExhausted, match="not reached after 3 attempts") as info:
         gwtree.sample_at_least(fb, 4, 0, max_attempts=3, cap=4)
     assert info.value.attempts == 3
+
+
+def test_samplers_reject_nan(child_env):
+    cat = offspring.make_builtin("catalan")
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        gwtree.sample_unconditional(cat, 0, cap=math.nan)
+    # a NaN that slipped past the checks would loop forever: a child process
+    # with a timeout turns a hang into a failure
+    code = ("import math, gwsearch\n"
+            "cat = gwsearch.make_builtin('catalan')\n"
+            "for kwargs in ({'n_min': math.nan}, {'n_min': 10, 'cap': math.nan}):\n"
+            "    try:\n"
+            "        gwsearch.sample_at_least(cat, seed=1, **kwargs)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "n_min must be >= 1\ncap must be >= n_min\n"
 
 
 def test_substream_master_is_64_bits():

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gwsearch import scheduler
+from gwsearch import analysis, scheduler
 from gwsearch.bdfs import bdfs
-from gwsearch.gwtree import PreorderTree, read_tree, sample_at_least
+from gwsearch.gwtree import (AttemptsExhausted, Overflow, PreorderTree, _grow,
+                             read_tree, sample_at_least)
 from gwsearch.offspring import parse_spec
 from gwsearch.scheduler import (SearchStats, _call_extent, run_adaptive,
                                 run_single, simulate_parallel)
@@ -294,3 +295,75 @@ def test_cycle_lemma_unique_rotation(degrees, shift):
     prefix = np.cumsum(seq - 1)
     k = int(np.argmin(prefix)) + 1
     assert valid == [k % n]
+
+
+SAMPLER_SPECS = ["catalan", "full_binary", "ternary_uniform", "harmonic:10", "poisson",
+                 "binomial:1000"]
+
+
+def at_least_by_attempts(dist, n_min, rng, max_attempts, cap):
+    """sample_at_least as its docstring states it: every attempt grown by
+    _grow straight from dist.draw.  Degrees and attempts, or None and the
+    attempts at exhaustion."""
+    attempts = 0
+    while True:
+        attempts += 1
+        got = _grow(lambda m: dist.draw(rng, m), cap)
+        if not isinstance(got, Overflow) and sum(map(len, got)) >= n_min:
+            return np.concatenate(got), attempts
+        if max_attempts is not None and attempts >= max_attempts:
+            return None, attempts
+
+
+@given(spec=st.sampled_from(SAMPLER_SPECS), n_min=st.integers(1, 300),
+       cap_extra=st.none() | st.integers(0, 40) | st.integers(0, 3000),
+       max_attempts=st.none() | st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_sample_at_least_matches_attempt_by_attempt(spec, n_min, cap_extra,
+                                                    max_attempts, seed):
+    # the bulk-settled first chunks and the read-ahead must not move a tree,
+    # an attempt count or the caller's generator
+    dist = parse_spec(spec)
+    # an unbounded search needs a likely size range, which the default cap
+    # gives: [300, 300] holds no full_binary tree at all
+    cap = None if cap_extra is None or max_attempts is None else n_min + cap_extra
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, want_attempts = at_least_by_attempts(dist, n_min, theirs, max_attempts,
+                                               100 * n_min if cap is None else cap)
+    try:
+        tree, attempts = sample_at_least(dist, n_min, seed=ours,
+                                         max_attempts=max_attempts, cap=cap)
+    except AttemptsExhausted as exc:
+        assert want is None and exc.attempts == want_attempts
+    else:
+        assert want is not None and attempts == want_attempts
+        assert np.array_equal(tree.degrees, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def min_sizes(dist, budget, m, rng):
+    """min(N_i, b) of m trees grown side by side, one node a step, kept per
+    tree; the live trees draw in the order of their ids."""
+    sizes = np.full(m, budget)
+    pending = np.ones(m, dtype=np.int64)
+    live = np.arange(m)
+    for t in range(1, budget + 1):
+        pending[live] += dist.draw(rng, live.size) - 1
+        closed = pending[live] == 0
+        sizes[live[closed]] = t
+        live = live[~closed]
+        if not live.size:
+            break
+    return sizes
+
+
+@given(spec=st.sampled_from(SAMPLER_SPECS), budget=st.integers(1, 60),
+       m=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_min_size_batch_matches_per_tree_sizes(spec, budget, m, seed):
+    dist = parse_spec(spec)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    sizes = min_sizes(dist, budget, m, theirs)
+    got = analysis._min_size_batch(dist, budget, m, ours)
+    assert got == (int(sizes.sum()), int((sizes * sizes).sum()))
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -2,6 +2,7 @@
 
 import heapq
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -192,6 +193,26 @@ def test_simulate_trivial_tree():
     assert report.makespan == 0
     assert report.speedup == 1.0
     assert report.jobs == 1 and report.evaluations == 0
+
+
+def test_nan_budget_rejected(tree25, child_env):
+    for run in (lambda: run_single(tree25, math.nan),
+                lambda: run_adaptive(tree25, math.nan, 8, math.inf, 2)):
+        with pytest.raises(ValueError, match="^budget must be >= 1$"):
+            run()
+    # a NaN budget past the check never ends the event loop: the child's
+    # timeout turns a hang into a failure
+    code = ("import math\n"
+            "from gwsearch import simulate_parallel\n"
+            "from gwsearch.verify import example_tree\n"
+            "try:\n"
+            "    simulate_parallel(example_tree(), math.nan, 2)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "budget must be >= 1\n"
 
 
 def test_simulate_validation(tree25):
