@@ -160,9 +160,9 @@ def _grow(draw, cap: int):
     draw(m) returns the next m offspring draws.  Draws in chunks of
     FIRST_CHUNK, twice that, ... DRAW_BLOCK (the largest draw that dist.draw
     serves in one block, without a copy), capped at the nodes left before
-    cap, and stops the moment the open-branch count returns to zero.  The draw sequence, hence
-    the tree, depends only on the generator, not on chunk boundaries; the
-    generator moves on by whole chunks.
+    cap, and stops the moment the open-branch count returns to zero.  The
+    draw sequence, hence the tree, depends only on the generator, not on
+    chunk boundaries; the generator moves on by whole chunks.
     """
     chunks = []
     pending = 1
