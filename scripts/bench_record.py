@@ -7,7 +7,8 @@ benchmark command (``perfbench/run.py``) RUNS times untraced, at the
 benchmark's own run length, with seeds 0, 1, 2 in turn, one run at a time.
 It writes every run's metrics, whether its outputs were correct, and the
 median of each metric over the runs, with the machine's description and its
-load average before and after each run.
+load average before and after each run, and the size of the library:
+``src_lines``, the line count of ``src/gwsearch/*.py`` as ``wc -l`` gives it.
 
 The file is named after the checkout's commit, ``BENCH_<short-sha>.json``.
 When the measured code (MEASURED: the library, the benchmark and its
@@ -51,6 +52,11 @@ def machine() -> dict:
             "python": platform.python_version()}
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "gwsearch").glob("*.py"))
+
+
 def run_once(checkout: Path, command: list, workload: str, seed: int,
              seconds: float) -> dict:
     """One untraced benchmark run; its seed, load average, outcome and metrics."""
@@ -80,7 +86,7 @@ def main(argv=None) -> int:
     dirty = bool(diff)
     record = {"commit": sha, "dirty": dirty,
               "diff_sha256": hashlib.sha256(diff.encode()).hexdigest() if dirty else None,
-              "machine": machine(),
+              "machine": machine(), "src_lines": src_lines(checkout),
               "command": spec["command"], "seconds": spec["run_seconds"],
               "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):

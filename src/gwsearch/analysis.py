@@ -32,6 +32,7 @@ asserted with == rather than a tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,7 +215,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     Runs in integers over a common denominator; builtins with rational pmfs
     only, t_max <= 512.  The oracle for size_pmf_exact.
     """
-    if t_max < 1:
+    if not t_max >= 1:  # also rejects NaN
         raise ValueError("t_max must be >= 1")
     if t_max > _RATIONAL_DP_LIMIT:
         raise ValueError(f"rational path capped at t_max = {_RATIONAL_DP_LIMIT}")
@@ -261,6 +262,8 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
         raise ValueError("budget must be >= 1")
     if not samples >= 1:
         raise ValueError("samples must be >= 1")
+    if not isinstance(samples, numbers.Integral):  # it feeds range
+        raise ValueError("samples must be an integer")
     rng = np.random.default_rng(seed)
     total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
@@ -311,7 +314,7 @@ def _min_size_batch(dist, budget, m, rng):
 
 def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:
     """Local limit d / (sigma sqrt(2 pi) n^(3/2)); only sizes 1 mod d exist."""
-    if n < 1:
+    if not n >= 1:  # also rejects NaN
         raise ValueError("n must be >= 1")
     if (n - 1) % dist.span != 0:
         raise ValueError(f"P{{N={n}}} = 0: sizes are 1 mod {dist.span}")
@@ -320,7 +323,7 @@ def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:
 
 def tail_asymptotic(dist: OffspringDistribution, n: int) -> float:
     """Tail estimate P{N >= n} ~ sqrt(2 / (pi n sigma^2))."""
-    if n < 1:
+    if not n >= 1:  # also rejects NaN
         raise ValueError("n must be >= 1")
     return math.sqrt(2.0 / (math.pi * n * dist.variance))
 

@@ -61,7 +61,7 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
     """
     if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
-    if max_degree < 1:
+    if not max_degree >= 1:  # also rejects NaN
         raise ValueError("max_degree must be >= 1")
     records = []
     stack_v = []

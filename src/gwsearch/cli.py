@@ -245,7 +245,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", choices=scheduler.POLICIES, default="lifo")
     p.add_argument("--cap", type=int, default=None,
                    help="abort any single attempt beyond this many nodes "
-                        "(default: 100 * n-min)")
+                        "(default: 100 * n-min, at most 2**31 - 1)")
     p.add_argument("--out", help="verification CSV path")
     p.set_defaults(func=cmd_sweep)
 

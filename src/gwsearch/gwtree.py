@@ -8,6 +8,11 @@ branches still open after t nodes; a valid tree has Q(t) > 0 for t < n and
 Q(n) = 0, which is also what makes sequential sampling terminate exactly
 when the tree closes.
 
+PreorderTree owns this layout: it validates Q once and keeps the degrees,
+Q(0..n) and, once read, the extents, each int32 and read-only (12 bytes per
+node).  So a tree has at most MAX_NODES = 2^31 - 1 nodes: a longer sequence
+is rejected before Q is built, and a larger size or cap before any draw.
+
 Three samplers:
 
   * sample_unconditional - grow one tree degree by degree; stops when the
@@ -53,7 +58,13 @@ class Overflow:
 
 
 MAX_DEGREE = int(np.iinfo(np.int32).max)  # degrees are stored as int32
+MAX_NODES = 2**31 - 1  # Q and extents are stored as int32
 FIRST_CHUNK = 32  # draws in the first chunk of every sampling attempt
+
+
+def _check_ceiling(name: str, value) -> None:
+    if value > MAX_NODES:  # also rejects inf, before anything is drawn
+        raise ValueError(f"{name} must be <= MAX_NODES = {MAX_NODES}")
 
 
 class PreorderTree:
@@ -63,70 +74,65 @@ class PreorderTree:
         raw = np.asarray(degrees)
         if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("degree sequence must be a non-empty 1-d array")
+        _check_ceiling("node count", len(raw))
         # range-check before the int32 cast, which would wrap silently
         if not (raw >= 0).all():  # also catches NaN
             raise ValueError("degrees must be >= 0")
-        if raw.max() > MAX_DEGREE:
+        top = raw.max()
+        if top > MAX_DEGREE:
             raise ValueError(f"degrees must be <= {MAX_DEGREE}")
         if raw.dtype.kind not in "biu" and (raw % 1 != 0).any():
             raise ValueError("degrees must be integers")
         arr = np.ascontiguousarray(raw, dtype=np.int32)
         n = len(arr)
-        # the walk S[u] = Q(u) - 1 = sum_{i<u}(degrees[i] - 1), u = 0..n, in
-        # int64 so that no invalid sequence wraps; arr - 1 >= -1 fits int32
-        walk = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(arr - 1, dtype=np.int64, out=walk[1:])
-        if walk[-1] != -1:
+        q = np.empty(n + 1, dtype=np.int64)  # Q(0..n): no invalid sequence wraps
+        q[0] = 1
+        np.subtract(arr, 1, out=q[1:])
+        np.cumsum(q, out=q)
+        if q[-1] != 0:
             raise ValueError(
                 f"degree sum {int(arr.sum())} != n - 1 = {n - 1}: not a tree")
-        if n > 1 and walk[1:-1].min() < 0:
+        if n > 1 and q[1:-1].min() <= 0:
             raise ValueError("tree closes before the last node (preorder invalid)")
-        if n < 2**31:  # a valid tree keeps S in [-1, n - 1]
-            walk = walk.astype(np.int32)
+        q = q.astype(np.int32)  # a valid tree keeps Q in [0, n]
         arr.flags.writeable = False
-        walk.flags.writeable = False
+        q.flags.writeable = False
         self.degrees = arr
         self.n = n
-        self._walk = walk
-
-    @cached_property
-    def max_degree(self) -> int:
-        return int(self.degrees.max())
+        self.max_degree = int(top)
+        self._q = q
 
     @cached_property
     def extent(self) -> np.ndarray:
-        """Subtree sizes for every node, computed in one vectorized pass.
+        """Subtree sizes for every node (int32), in one vectorized pass.
 
         A leaf's extent is 1.  The subtree of an internal node v ends at the
-        first u > v with S[u] = S[v] - 1.  Down-steps are unit, so the walk
+        first u > v with Q[u] = Q[v] - 1.  Down-steps are unit, so the walk
         first reaches a lower level at a position entered right after a
-        leaf.  The keys S[u] * (n + 2) + u of those positions, sorted, order
-        them by (level, position), and u is the first key past (S[v] - 1, v):
+        leaf.  The keys Q[u] * (n + 2) + u of those positions, sorted, order
+        them by (level, position), and u is the first key past (Q[v] - 1, v):
         one searchsorted for all internal v.
         """
         base = self.n + 2
         down = np.flatnonzero(self.degrees == 0) + 1
-        keys = np.multiply(self._walk[down], base, dtype=np.int64)
+        keys = np.multiply(self._q[down], base, dtype=np.int64)
         keys += down
         keys.sort()
         inner = np.flatnonzero(self.degrees)
-        queries = np.multiply(self._walk[inner] - 1, base, dtype=np.int64)
+        queries = np.multiply(self._q[inner] - 1, base, dtype=np.int64)
         queries += inner
         end = keys[np.searchsorted(keys, queries, side="right")]
         del queries, keys  # freed before ext: a lower peak
-        end %= base  # numpy modulo keeps the divisor's sign: safe at level -1
+        end %= base
         end -= inner
-        ext = np.ones(self.n, dtype=np.int64)
+        ext = np.ones(self.n, dtype=np.int32)
         ext[inner] = end
         ext.flags.writeable = False
         return ext
 
     def q_path(self) -> np.ndarray:
         """Open-branch counts Q(0..n): starts at 1, stays positive, ends at 0."""
-        q = self._walk.astype(np.int64)
-        q += 1
-        q.flags.writeable = False
-        return q
+        return self._q
 
     def adj(self, v: int, j: int):
         """j-th child of v (1-based), or None past v's degree.
@@ -137,7 +143,7 @@ class PreorderTree:
         """
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        if j < 1:
+        if not j >= 1:  # also rejects NaN
             raise ValueError("child index j starts at 1")
         if j > self.degrees[v]:
             return None
@@ -196,6 +202,7 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     """
     if not cap >= 1:  # also rejects NaN
         raise ValueError("cap must be >= 1")
+    _check_ceiling("cap", cap)
     rng = np.random.default_rng(seed)
     got = _grow(lambda m: dist.draw(rng, m), cap)
     return got if isinstance(got, Overflow) else _tree(got)
@@ -276,10 +283,11 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
                     max_attempts: int | None = None, cap: int | None = None):
     """First sampled tree with at least ``n_min`` nodes, as (tree, attempts).
 
-    cap defaults to 100 * n_min; an attempt that overflows the cap counts as
-    failed and is redrawn, so the returned law is the unconditional one
-    restricted to n_min <= n <= cap.  Raises AttemptsExhausted past
-    max_attempts (None = keep trying).  Only the accepted tree is built.
+    cap defaults to min(100 * n_min, MAX_NODES); an attempt that overflows
+    the cap counts as failed and is redrawn, so the returned law is the
+    unconditional one restricted to n_min <= n <= cap.  Raises
+    AttemptsExhausted past max_attempts (None = keep trying).  Only the
+    accepted tree is built.
 
     The draws are read ahead, and the many attempts that close too small
     inside their first chunk are settled in bulk; the rest grow by _grow.
@@ -288,10 +296,12 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     """
     if not n_min >= 1:  # also rejects NaN
         raise ValueError("n_min must be >= 1")
+    _check_ceiling("n_min", n_min)
     if cap is None:
-        cap = 100 * n_min
+        cap = min(100 * n_min, MAX_NODES)
     if not cap >= n_min:
         raise ValueError("cap must be >= n_min")
+    _check_ceiling("cap", cap)
     if max_attempts is not None and not max_attempts >= 1:
         raise ValueError("max_attempts must be >= 1")
     reader = _ReadAhead(dist, np.random.default_rng(seed))
@@ -315,18 +325,24 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
         reader.close()
 
 
+def _rotation(draws) -> int:
+    """Start of the one valid rotation of draws that sum to len(draws) - 1."""
+    return int(np.argmin(np.cumsum(draws - 1)) + 1) % len(draws)
+
+
 def sample_exact(dist: OffspringDistribution, n: int, seed=None,
                  max_attempts: int | None = None):
     """Tree conditioned on exactly n nodes, as (tree, attempts).
 
     Rejection plus rotation: draw (xi_1..xi_n) i.i.d. until they sum to n-1,
-    then start the sequence right after the first minimum of the prefix sums
-    of xi_i - 1.  That rotation is the unique one whose walk stays positive
-    before step n (cycle lemma), and it maps i.i.d. draws to exactly the
-    conditional Galton-Watson law.  Expected rejections grow like sqrt(n)/d.
+    then start them right after the first minimum of the prefix sums of
+    xi_i - 1 (_rotation).  That rotation is the unique one whose walk stays
+    positive before step n (cycle lemma), and it maps i.i.d. draws to exactly
+    the conditional Galton-Watson law.  Expected rejections grow like sqrt(n)/d.
     """
-    if n < 1:
+    if not n >= 1:  # also rejects NaN
         raise ValueError("n must be >= 1")
+    _check_ceiling("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
@@ -339,10 +355,8 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
         attempts += 1
         draws = dist.draw(rng, n)
         if int(draws.sum()) == target:
-            prefix = np.cumsum(draws - 1)
-            k = int(np.argmin(prefix)) + 1  # first position attaining the minimum
-            if k < n:
-                draws = np.concatenate([draws[k:], draws[:k]])
+            k = _rotation(draws)
+            draws = np.concatenate([draws[k:], draws[:k]])
             return PreorderTree(draws), attempts
         if max_attempts is not None and attempts >= max_attempts:
             raise AttemptsExhausted(attempts, f"degree sum {target} over {n} draws")

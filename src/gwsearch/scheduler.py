@@ -111,7 +111,7 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     its jobs root disjoint subtree intervals.  The call at s explores
     [s, s + min(b, ext[s])), and these blocks tile every interval, so the
     starts are the orbits of the jobs under s -> s + min(b, ext[s]), chased
-    in position order.  A call with ext[s] > b returns k = S[s+b] - S[s] + 1
+    in position order.  A call with ext[s] > b returns k = Q[s+b] - Q[s] + 1
     roots (s + b, then one per level its walk climbs back down).
     A LIFO stack ascends, so it pops by subtree end, latest first.  A FIFO
     queue holds at most two generations, each ascending, and the later one
@@ -135,7 +135,7 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     cut = extents > b
     roots = np.zeros_like(starts)
     at = starts[cut]
-    roots[cut] = tree._walk[at + b] - tree._walk[at] + 1
+    roots[cut] = tree.q_path()[at + b] - tree.q_path()[at] + 1
     # a call that cuts its subtree generates b - 1 + k nodes
     evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum())
     ends = starts + extents
@@ -233,8 +233,10 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     """
     if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
-    if workers < 1:
+    if not workers >= 1:  # also rejects NaN
         raise ValueError("workers must be >= 1")
+    if not isinstance(workers, numbers.Integral):  # it feeds range
+        raise ValueError("workers must be an integer")
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
     # no event ends after horizon, and idle_time is at most workers * horizon

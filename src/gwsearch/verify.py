@@ -206,8 +206,7 @@ def _check_structural_invariants(rng):
                 c = np.cumsum(rolled - 1)
                 if c[-1] == -1 and (c[:-1] >= 0).all():
                     valid.append(r)
-            k = int(np.argmin(np.cumsum(draws - 1))) + 1
-            if valid != [k % n]:
+            if valid != [gwtree._rotation(draws)]:
                 return False, f"{spec} n={n}: {len(valid)} valid rotations, expected 1"
             done += 1
             rotations += 1

@@ -10,7 +10,7 @@ import contextlib
 import io
 import re
 
-from gwsearch import gwtree, verify
+from gwsearch import cli, gwtree, verify
 
 
 def _run(number, monkeypatch):
@@ -90,3 +90,16 @@ def test_output_goes_to_the_current_stdout(monkeypatch):
     assert [line.split()[:2] for line in lines[:2]] == [["check", "1"], ["check", "7"]]
     assert "seed=3" in lines[1]
     assert lines[2:] == ["all 2 checks passed"]
+
+
+def test_failing_check_is_reported(monkeypatch, capsys):
+    failing = (1, "always-fails", "fast", lambda: (False, "broken on purpose"))
+    monkeypatch.setattr(verify, "_CHECKS", (failing,))
+    [result] = verify.run_acceptance("fast", seed=1)
+    assert not result.passed
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"check 1 always-fails +FAIL  broken on purpose  \(\d+\.\d\ds\)",
+                        lines[0])
+    assert lines[1:] == ["1 of 1 checks FAILED: 1 (always-fails)"]
+    assert cli.main(["verify", "--seed", "1"]) == 2
+    assert "1 of 1 checks FAILED: 1 (always-fails)" in capsys.readouterr().out

@@ -208,7 +208,16 @@ def test_nan_arguments_rejected():
                           (lambda: mu_analytic(1.0, math.nan), "budget must be >= 1"),
                           (lambda: mu_analytic(math.nan, 10), "sigma2 must be positive"),
                           (lambda: size_pmf_exact(CATALAN, math.nan),
-                           "t_max must be >= 1")):
+                           "t_max must be >= 1"),
+                          (lambda: size_pmf_rational(CATALAN, math.nan),
+                           "t_max must be >= 1"),
+                          (lambda: size_pmf_asymptotic(CATALAN, math.nan),
+                           "n must be >= 1"),
+                          (lambda: tail_asymptotic(CATALAN, math.nan), "n must be >= 1"),
+                          (lambda: mu_mc(CATALAN, 10, samples=math.inf),
+                           "samples must be an integer"),
+                          (lambda: mu_mc(CATALAN, 10, samples=2.5),
+                           "samples must be an integer")):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
 

@@ -79,5 +79,6 @@ def test_validation(tree25):
     for budget in (0, float("nan")):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             bdfs(tree25.adj, 0, tree25.max_degree, budget)
-    with pytest.raises(ValueError, match="max_degree must be >= 1"):
-        bdfs(tree25.adj, 0, 0, 5)
+    for max_degree in (0, float("nan")):
+        with pytest.raises(ValueError, match="max_degree must be >= 1"):
+            bdfs(tree25.adj, 0, max_degree, 5)

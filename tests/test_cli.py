@@ -97,6 +97,16 @@ def test_gen_parity_error(tmp_path, capsys):
     assert "no trees with 4 nodes" in capsys.readouterr().err
 
 
+def test_gen_rejects_sizes_above_the_ceiling(tmp_path, capsys):
+    # rejected before any draw: no allocation of terabytes, no endless retries
+    for size, name in (("--n", "n"), ("--n-min", "n_min")):
+        assert run_cli("gen", "--dist", "catalan", size, str(10 ** 12),
+                       "--out", str(tmp_path / "t.tree")) == 1
+        assert (capsys.readouterr().err
+                == f"gwsearch: error: {name} must be <= MAX_NODES = 2147483647\n")
+    assert not (tmp_path / "t.tree").exists()
+
+
 def test_gen_attempts_exhausted(tmp_path, capsys):
     assert run_cli("gen", "--dist", "catalan", "--n", "100", "--seed", "0",
                    "--max-attempts", "2", "--out", str(tmp_path / "t.tree")) == 1

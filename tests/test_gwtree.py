@@ -43,6 +43,7 @@ def test_fixture_structure(tree25):
 
 def test_extent_frozen(tree25):
     assert tree25.extent.tolist() == EXTENT25
+    assert tree25.extent.dtype == np.int32
     assert not tree25.extent.flags.writeable
 
 
@@ -69,13 +70,16 @@ def test_adj_validation(tree25):
         tree25.adj(-1, 1)
     with pytest.raises(ValueError, match="out of range"):
         tree25.adj(25, 1)
-    with pytest.raises(ValueError, match="child index j starts at 1"):
-        tree25.adj(0, 0)
+    for j in (0, math.nan):
+        with pytest.raises(ValueError, match="child index j starts at 1"):
+            tree25.adj(0, j)
 
 
 def test_q_path_frozen(tree25):
     q = tree25.q_path()
     assert q.tolist() == QPATH25
+    assert q is tree25.q_path()  # stored, not rebuilt per call
+    assert q.dtype == np.int32 and not q.flags.writeable
     assert len(q) == tree25.n + 1
     assert q[0] == 1 and q[-1] == 0
     assert np.all(q[:-1] >= 1)
@@ -197,7 +201,8 @@ def test_samplers_reject_nan(child_env):
     # with a timeout turns a hang into a failure
     code = ("import math, gwsearch\n"
             "cat = gwsearch.make_builtin('catalan')\n"
-            "for kwargs in ({'n_min': math.nan}, {'n_min': 10, 'cap': math.nan}):\n"
+            "for kwargs in ({'n_min': math.nan}, {'n_min': 10, 'cap': math.nan},\n"
+            "               {'n_min': math.inf}):\n"
             "    try:\n"
             "        gwsearch.sample_at_least(cat, seed=1, **kwargs)\n"
             "    except ValueError as exc:\n"
@@ -205,7 +210,30 @@ def test_samplers_reject_nan(child_env):
     proc = subprocess.run([sys.executable, "-c", code], env=child_env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "n_min must be >= 1\ncap must be >= n_min\n"
+    assert proc.stdout == ("n_min must be >= 1\ncap must be >= n_min\n"
+                           f"n_min must be <= MAX_NODES = {gwtree.MAX_NODES}\n")
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        gwtree.sample_exact(cat, math.nan, 0)
+
+
+def test_node_ceiling(monkeypatch):
+    # a small ceiling stands in for 2**31 - 1, so nothing large is allocated
+    monkeypatch.setattr(gwtree, "MAX_NODES", 9)
+    cat = offspring.make_builtin("catalan")
+    assert gwtree.PreorderTree([8] + [0] * 8).n == 9
+    with pytest.raises(ValueError, match="^node count must be <= MAX_NODES = 9$"):
+        gwtree.PreorderTree([9] + [0] * 9)
+    for call, name in ((lambda: gwtree.sample_unconditional(cat, 0, cap=10), "cap"),
+                       (lambda: gwtree.sample_at_least(cat, 10, 0), "n_min"),
+                       (lambda: gwtree.sample_at_least(cat, 2, 0, cap=10), "cap"),
+                       (lambda: gwtree.sample_at_least(cat, 2, 0, cap=math.inf), "cap"),
+                       (lambda: gwtree.sample_exact(cat, 10, 0), "n"),
+                       (lambda: gwtree.sample_exact(cat, math.inf, 0), "n")):
+        with pytest.raises(ValueError, match=f"^{name} must be <= MAX_NODES = 9$"):
+            call()
+    # the default cap, 100 * n_min, is held to the ceiling
+    tree, _ = gwtree.sample_at_least(cat, 5, 0)
+    assert 5 <= tree.n <= 9
 
 
 def test_substream_master_is_64_bits():

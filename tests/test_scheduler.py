@@ -200,6 +200,11 @@ def test_nan_budget_rejected(tree25, child_env):
                 lambda: run_adaptive(tree25, math.nan, 8, math.inf, 2)):
         with pytest.raises(ValueError, match="^budget must be >= 1$"):
             run()
+    for workers, message in ((math.nan, "workers must be >= 1"),
+                             (2.5, "workers must be an integer"),
+                             (math.inf, "workers must be an integer")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_parallel(tree25, 5, workers)
     # a NaN budget past the check never ends the event loop: the child's
     # timeout turns a hang into a failure
     code = ("import math\n"
