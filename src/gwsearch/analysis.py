@@ -32,18 +32,18 @@ asserted with == rather than a tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringDistribution
+from ._checks import require_integer
+from .offspring import DRAW_BLOCK, OffspringDistribution
 
 # size-law ceiling of the Newton path (harmonic:10 at 4 * 10^6 takes about 25 s
 # and 380 MB); past this only mu_analytic / mu_mc are offered
 DP_LIMIT = 4_000_000
 _RATIONAL_DP_LIMIT = 512
-_MC_CHUNK = 1 << 20  # trees grown per mu_mc batch; bounds its per-step draw arrays
+_MC_CHUNK = 1 << 20  # trees grown per mu_mc batch, one after another; bounds its sums
 _ENUMERATION_LIMIT = 12
 
 
@@ -136,6 +136,7 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     """
     if not t_max >= 1:  # also rejects NaN
         raise ValueError("t_max must be >= 1")
+    require_integer("t_max", t_max)
     if t_max > DP_LIMIT:
         raise ValueError(
             f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
@@ -217,6 +218,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     """
     if not t_max >= 1:  # also rejects NaN
         raise ValueError("t_max must be >= 1")
+    require_integer("t_max", t_max)
     if t_max > _RATIONAL_DP_LIMIT:
         raise ValueError(f"rational path capped at t_max = {_RATIONAL_DP_LIMIT}")
     p = rational_pmf(dist)
@@ -243,6 +245,7 @@ def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
     """E min(N, b) from the exact size law: sum_{t<=b} t P{N=t} + b P{N>b}."""
     if not budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
+    require_integer("budget", budget)
     law = size_pmf_exact(dist, budget)
     value = math.fsum(t * law.pmf[t] for t in range(1, budget + 1)) + budget * law.tail
     return MuEstimate(value=value, method="exact-dp")
@@ -262,8 +265,8 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
         raise ValueError("budget must be >= 1")
     if not samples >= 1:
         raise ValueError("samples must be >= 1")
-    if not isinstance(samples, numbers.Integral):  # it feeds range
-        raise ValueError("samples must be an integer")
+    require_integer("budget", budget)
+    require_integer("samples", samples)  # it feeds range
     rng = np.random.default_rng(seed)
     total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
@@ -282,33 +285,37 @@ def _min_size_batch(dist, budget, m, rng):
     """Sum of min(N_i, b) and of its square over m fresh trees, as ints.
 
     A live tree is kept as 1 + the sum of its draws so far, which is t when
-    it closes at step t (its open branches are that sum minus t).  The live
-    trees are compacted to the front of the buffer after every step in
-    their order, so each reads the same uniforms at every step.  A tree
-    that closes at step t < b adds t, and every tree still open at step b
-    adds b.  The sums stay below 1 + budget * max_degree, which int32 holds
-    unless budget * max_degree reaches 2^31.
+    it closes at step t (its open branches are that sum minus t).  Each step
+    draws, adds, tests and compacts the live trees one DRAW_BLOCK slice at a
+    time, writing the kept sums forward in place in their order, so each
+    tree reads the same uniforms at every step as one draw of all the live
+    trees would give it (such a draw is made of the same slices in order).
+    A tree that closes at step t <= b adds t, and every tree still open
+    after step b adds b.  So the batch holds its sums (4 bytes a tree) and
+    one slice of temporaries: a peak of 5.6 bytes per sample at 10^6
+    samples (tracemalloc).  The sums stay below 1 + budget * max_degree,
+    which int32 holds unless budget * max_degree reaches 2^31.
     """
     sum_type = np.int32 if budget * len(dist.pmf) < 2 ** 31 else np.int64
     sums = np.ones(m, dtype=sum_type)
-    mask = np.empty(m, dtype=bool)
+    mask = np.empty(min(m, DRAW_BLOCK), dtype=bool)
     total = total_sq = 0
     live = m
-    for t in range(1, budget):
-        live_sums = sums[:live]
-        live_sums += dist.draw(rng, live)
-        keep = np.not_equal(live_sums, t, out=mask[:live])
-        kept = int(np.count_nonzero(keep))
+    for t in range(1, budget + 1):
+        kept = 0
+        for lo in range(0, live, DRAW_BLOCK):
+            block = sums[lo:min(lo + DRAW_BLOCK, live)]
+            block += dist.draw(rng, block.size)
+            keep = np.not_equal(block, t, out=mask[:block.size])
+            k = int(np.count_nonzero(keep))
+            sums[kept:kept + k] = block[keep]
+            kept += k
         closed = live - kept
         total += t * closed
         total_sq += t * t * closed
-        sums[:kept] = live_sums[keep]
         live = kept
         if live == 0:
             return total, total_sq
-    # every tree left counts b whatever step b draws, but the draw keeps the
-    # generator where b full steps leave it
-    dist.draw(rng, live)
     return total + budget * live, total_sq + budget * budget * live
 
 
@@ -316,6 +323,7 @@ def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:
     """Local limit d / (sigma sqrt(2 pi) n^(3/2)); only sizes 1 mod d exist."""
     if not n >= 1:  # also rejects NaN
         raise ValueError("n must be >= 1")
+    require_integer("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(f"P{{N={n}}} = 0: sizes are 1 mod {dist.span}")
     return dist.span / (dist.sigma * math.sqrt(2.0 * math.pi) * n ** 1.5)
@@ -360,6 +368,7 @@ def enumerate_small_trees(dist: OffspringDistribution, n_max: int) -> SizeLaw:
     if not 1 <= n_max <= _ENUMERATION_LIMIT:
         raise ValueError(f"n_max must be in 1..{_ENUMERATION_LIMIT} "
                          "(tree count grows like 4^n)")
+    require_integer("n_max", n_max)
     p = rational_pmf(dist)
     if p is None:
         p = [float(x) for x in dist.pmf]

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._checks import require_integer
+
 
 @dataclass(frozen=True)
 class BudgetedSearchOutput:
@@ -63,6 +65,8 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
         raise ValueError("budget must be >= 1")
     if not max_degree >= 1:  # also rejects NaN
         raise ValueError("max_degree must be >= 1")
+    require_integer("budget", budget)
+    require_integer("max_degree", max_degree)
     records = []
     stack_v = []
     stack_j = []

@@ -13,6 +13,20 @@ Q(0..n) and, once read, the extents, each int32 and read-only (12 bytes per
 node).  So a tree has at most MAX_NODES = 2^31 - 1 nodes: a longer sequence
 is rejected before Q is built, and a larger size or cap before any draw.
 
+Every layer works in int32 and in DRAW_BLOCK-sized slices, so its temporary
+arrays stay near what it keeps.  Peak bytes per node above what was held
+before the call (tracemalloc; ternary_uniform and harmonic:10 trees of
+1.3-1.6 * 10^6 nodes), with what the layer keeps:
+
+  * sample_at_least  13.1 / 13.2, keeps 8 (the degrees and Q)
+  * PreorderTree      4.0 from int32 degrees, keeps 4 (Q)
+  * extent            7.8 / 10.4, keeps 4 (the extents)
+  * write_tree        0.5 / 1.1, keeps nothing
+  * read_tree        16.0 / 16.0, keeps 8
+
+Below about 10^6 nodes the DRAW_BLOCK buffers, 1-2.5 MB in all, add to
+these.
+
 Three samplers:
 
   * sample_unconditional - grow one tree degree by degree; stops when the
@@ -33,6 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._checks import require_integer
 from .offspring import DRAW_BLOCK, OffspringDistribution
 
 
@@ -62,9 +77,11 @@ MAX_NODES = 2**31 - 1  # Q and extents are stored as int32
 FIRST_CHUNK = 32  # draws in the first chunk of every sampling attempt
 
 
-def _check_ceiling(name: str, value) -> None:
+def _check_size(name: str, value) -> None:
+    """A node count, once checked >= 1: at most MAX_NODES, and an integer."""
     if value > MAX_NODES:  # also rejects inf, before anything is drawn
         raise ValueError(f"{name} must be <= MAX_NODES = {MAX_NODES}")
+    require_integer(name, value)
 
 
 class PreorderTree:
@@ -74,7 +91,7 @@ class PreorderTree:
         raw = np.asarray(degrees)
         if raw.ndim != 1 or len(raw) == 0:
             raise ValueError("degree sequence must be a non-empty 1-d array")
-        _check_ceiling("node count", len(raw))
+        _check_size("node count", len(raw))
         # range-check before the int32 cast, which would wrap silently
         if not (raw >= 0).all():  # also catches NaN
             raise ValueError("degrees must be >= 0")
@@ -85,16 +102,16 @@ class PreorderTree:
             raise ValueError("degrees must be integers")
         arr = np.ascontiguousarray(raw, dtype=np.int32)
         n = len(arr)
-        q = np.empty(n + 1, dtype=np.int64)  # Q(0..n): no invalid sequence wraps
+        total = int(arr.sum(dtype=np.int64))
+        if total != n - 1:
+            raise ValueError(f"degree sum {total} != n - 1 = {n - 1}: not a tree")
+        # with degrees >= 0 summing to n - 1, Q(t) lies in [1 - n, n]: int32
+        q = np.empty(n + 1, dtype=np.int32)  # Q(0..n)
         q[0] = 1
         np.subtract(arr, 1, out=q[1:])
-        np.cumsum(q, out=q)
-        if q[-1] != 0:
-            raise ValueError(
-                f"degree sum {int(arr.sum())} != n - 1 = {n - 1}: not a tree")
+        np.cumsum(q, dtype=np.int32, out=q)
         if n > 1 and q[1:-1].min() <= 0:
             raise ValueError("tree closes before the last node (preorder invalid)")
-        q = q.astype(np.int32)  # a valid tree keeps Q in [0, n]
         arr.flags.writeable = False
         q.flags.writeable = False
         self.degrees = arr
@@ -112,21 +129,35 @@ class PreorderTree:
         leaf.  The keys Q[u] * (n + 2) + u of those positions, sorted, order
         them by (level, position), and u is the first key past (Q[v] - 1, v):
         one searchsorted for all internal v.
+
+        The keys are filled, and the queries answered straight into the
+        extents, DRAW_BLOCK nodes at a time, so only the int64 keys (8 bytes
+        per leaf) and the int32 extents are held in full: a peak of 7.8 and
+        10.4 bytes per node for ternary_uniform and harmonic:10 trees of
+        1.3-1.6 * 10^6 nodes (tracemalloc).
         """
-        base = self.n + 2
-        down = np.flatnonzero(self.degrees == 0) + 1
-        keys = np.multiply(self._q[down], base, dtype=np.int64)
-        keys += down
+        n, degrees, q = self.n, self.degrees, self._q
+        base = n + 2
+        keys = np.empty(n - np.count_nonzero(degrees), dtype=np.int64)
+        filled = 0
+        for lo in range(0, n, DRAW_BLOCK):
+            down = np.flatnonzero(degrees[lo:lo + DRAW_BLOCK] == 0)
+            down += lo + 1
+            block = keys[filled:filled + down.size]
+            np.multiply(q[down], base, out=block, dtype=np.int64)
+            block += down
+            filled += down.size
         keys.sort()
-        inner = np.flatnonzero(self.degrees)
-        queries = np.multiply(self._q[inner] - 1, base, dtype=np.int64)
-        queries += inner
-        end = keys[np.searchsorted(keys, queries, side="right")]
-        del queries, keys  # freed before ext: a lower peak
-        end %= base
-        end -= inner
-        ext = np.ones(self.n, dtype=np.int32)
-        ext[inner] = end
+        ext = np.ones(n, dtype=np.int32)
+        for lo in range(0, n, DRAW_BLOCK):
+            inner = np.flatnonzero(degrees[lo:lo + DRAW_BLOCK])
+            inner += lo
+            queries = np.multiply(q[inner] - 1, base, dtype=np.int64)
+            queries += inner
+            end = keys[np.searchsorted(keys, queries, side="right")]
+            end %= base
+            end -= inner
+            ext[inner] = end
         ext.flags.writeable = False
         return ext
 
@@ -145,6 +176,8 @@ class PreorderTree:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         if not j >= 1:  # also rejects NaN
             raise ValueError("child index j starts at 1")
+        require_integer("vertex", v)
+        require_integer("child index j", j)
         if j > self.degrees[v]:
             return None
         ext = self.extent
@@ -180,9 +213,9 @@ def _grow(draw, cap: int):
         walk = pending + np.cumsum(draws - 1)
         hit = np.flatnonzero(walk == 0)
         if hit.size:
-            chunks.append(draws[:hit[0] + 1])
+            chunks.append(draws[:hit[0] + 1].astype(np.int32))
             return chunks
-        chunks.append(draws)
+        chunks.append(draws.astype(np.int32))  # draws < len(dist.pmf): no wrap
         total += m
         pending = int(walk[-1])
         size = min(size * 2, DRAW_BLOCK)
@@ -190,7 +223,7 @@ def _grow(draw, cap: int):
 
 
 def _tree(chunks) -> PreorderTree:
-    return PreorderTree(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
+    return PreorderTree(np.concatenate(chunks, dtype=np.int32))
 
 
 def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_000_000):
@@ -202,7 +235,7 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     """
     if not cap >= 1:  # also rejects NaN
         raise ValueError("cap must be >= 1")
-    _check_ceiling("cap", cap)
+    _check_size("cap", cap)
     rng = np.random.default_rng(seed)
     got = _grow(lambda m: dist.draw(rng, m), cap)
     return got if isinstance(got, Overflow) else _tree(got)
@@ -296,14 +329,16 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     """
     if not n_min >= 1:  # also rejects NaN
         raise ValueError("n_min must be >= 1")
-    _check_ceiling("n_min", n_min)
+    _check_size("n_min", n_min)
     if cap is None:
         cap = min(100 * n_min, MAX_NODES)
     if not cap >= n_min:
         raise ValueError("cap must be >= n_min")
-    _check_ceiling("cap", cap)
-    if max_attempts is not None and not max_attempts >= 1:
-        raise ValueError("max_attempts must be >= 1")
+    _check_size("cap", cap)
+    if max_attempts is not None:
+        if not max_attempts >= 1:
+            raise ValueError("max_attempts must be >= 1")
+        require_integer("max_attempts", max_attempts)
     reader = _ReadAhead(dist, np.random.default_rng(seed))
     first = min(FIRST_CHUNK, cap)  # the first chunk of every attempt
     small = int(min(first, n_min - 1))  # an attempt closing at these nodes fails
@@ -342,12 +377,14 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     """
     if not n >= 1:  # also rejects NaN
         raise ValueError("n must be >= 1")
-    _check_ceiling("n", n)
+    _check_size("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
-    if max_attempts is not None and not max_attempts >= 1:
-        raise ValueError("max_attempts must be >= 1")
+    if max_attempts is not None:
+        if not max_attempts >= 1:
+            raise ValueError("max_attempts must be >= 1")
+        require_integer("max_attempts", max_attempts)
     rng = np.random.default_rng(seed)
     target = n - 1
     attempts = 0
@@ -356,29 +393,48 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
         draws = dist.draw(rng, n)
         if int(draws.sum()) == target:
             k = _rotation(draws)
-            draws = np.concatenate([draws[k:], draws[:k]])
-            return PreorderTree(draws), attempts
+            rotated = np.concatenate((draws[k:], draws[:k]), dtype=np.int32)
+            return PreorderTree(rotated), attempts
         if max_attempts is not None and attempts >= max_attempts:
             raise AttemptsExhausted(attempts, f"degree sum {target} over {n} draws")
 
 
 def write_tree(tree: PreorderTree, path) -> None:
-    """Two-line text format: node count, then space-separated preorder degrees."""
-    degrees = tree.degrees[:, None]
+    """Two-line text format: node count, then space-separated preorder degrees.
+
+    The degrees are formatted and written DRAW_BLOCK at a time.
+    """
     width = len(str(tree.max_degree))
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int32)
-    digits = degrees // powers
-    digits %= 10
-    digits += ord("0")
-    text = np.empty((tree.n, width + 1), dtype=np.uint8)
-    text[:, :width] = digits
-    text[:, width] = ord(" ")
-    text[-1, width] = ord("\n")
-    keep = np.ones(text.shape, dtype=bool)
-    keep[:, :width - 1] = degrees >= powers[:-1]  # leading zeros; 0 keeps its last digit
     with open(path, "wb") as fh:
         fh.write(f"{tree.n}\n".encode())
-        fh.write(text[keep])
+        for lo in range(0, tree.n, DRAW_BLOCK):
+            degrees = tree.degrees[lo:lo + DRAW_BLOCK, None]
+            digits = degrees // powers
+            digits %= 10
+            digits += ord("0")
+            text = np.empty((len(degrees), width + 1), dtype=np.uint8)
+            text[:, :width] = digits
+            text[:, width] = ord(" ")
+            if lo + len(degrees) == tree.n:
+                text[-1, width] = ord("\n")
+            keep = np.ones(text.shape, dtype=bool)
+            # drop leading zeros; 0 keeps its last digit
+            keep[:, :width - 1] = degrees >= powers[:-1]
+            fh.write(text[keep])
+
+
+def _positions(mask, dtype) -> np.ndarray:
+    """Indices of mask's True entries as dtype, found DRAW_BLOCK at a time
+    (np.flatnonzero would hold them all as intp)."""
+    out = np.empty(np.count_nonzero(mask), dtype=dtype)
+    filled = 0
+    for lo in range(0, mask.size, DRAW_BLOCK):
+        found = np.flatnonzero(mask[lo:lo + DRAW_BLOCK])
+        found += lo
+        out[filled:filled + found.size] = found
+        filled += found.size
+    return out
 
 
 def read_tree(path) -> PreorderTree:
@@ -386,7 +442,9 @@ def read_tree(path) -> PreorderTree:
 
     Line 1 is the node count n, in ASCII decimal digits.  Line 2 holds n
     degrees, each ASCII decimal digits, separated by ASCII whitespace.  Only
-    whitespace may follow.
+    whitespace may follow.  The word starts and lengths are int32 (int64
+    past 2^31 bytes), and so are the degrees (int64 past 9 digits); the
+    text and its masks are dropped before the tree is built.
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
@@ -397,21 +455,31 @@ def read_tree(path) -> PreorderTree:
     n = int(head)
     if any(line.strip() for line in lines[2:]):
         raise ValueError(f"{path}: unexpected content after the degree line")
+    del lines
     chars = np.frombuffer(body, dtype=np.uint8)
     # uint8 arithmetic wraps below zero, so one comparison tests each range
     word = np.zeros(chars.size + 2, dtype=bool)  # a space pads either end
-    word[1:-1] = (chars != ord(" ")) & (chars - ord("\t") > 4)  # not \t\n\v\f\r
-    starts = np.flatnonzero(word[1:] & ~word[:-1])
-    lengths = np.flatnonzero(word[:-1] & ~word[1:]) - starts
-    if len(starts) != n:
-        raise ValueError(f"{path}: expected {n} degrees, found {len(starts)}")
-    if ((chars - ord("0") < 10) != word[1:-1]).any():
+    np.not_equal(chars, ord(" "), out=word[1:-1])
+    word[1:-1] &= chars - ord("\t") > 4  # not \t\n\v\f\r
+    # word flips at every start and every end, in turn: (start, end) pairs
+    index = np.int32 if chars.size < 2**31 else np.int64
+    edges = _positions(word[1:] != word[:-1], index)
+    if len(edges) // 2 != n:
+        raise ValueError(f"{path}: expected {n} degrees, found {len(edges) // 2}")
+    digit = chars - ord("0") < 10
+    if np.not_equal(digit, word[1:-1], out=digit).any():
         raise ValueError(f"{path}: degrees must be integers")
+    del digit, word
+    starts, lengths = edges[0::2], edges[1::2]
+    lengths -= starts
     width = int(lengths.max(initial=0))
     if width > 18:  # 18 digits always fit an int64
         raise ValueError(f"{path}: degrees must be in [0, {MAX_DEGREE}]")
-    degrees = (chars[starts] - ord("0")).astype(np.int64)
+    degrees = chars[starts]
+    degrees -= ord("0")
+    degrees = degrees.astype(np.int32 if width <= 9 else np.int64)
     for j in range(1, width):  # Horner's rule, one digit column at a time
         more = lengths > j
         degrees[more] = degrees[more] * 10 + (chars[starts[more] + j] - ord("0"))
+    del chars, body, edges, starts, lengths
     return PreorderTree(degrees)

@@ -46,7 +46,8 @@ _CRIT_TOL_TRUNCATED = 1e-10
 HARMONIC_MAX_DEGREE = 10**6
 
 # Offspring draws: buckets of the guide table (a power of two, so scaling a
-# uniform or the cdf by it is exact) and uniforms drawn per block.
+# uniform or the cdf by it is exact) and uniforms drawn per block.  gwtree
+# and mu_mc also work through their per-node arrays DRAW_BLOCK at a time.
 GUIDE_SIZE = 1 << 12
 DRAW_BLOCK = 1 << 16
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_integer
 from .gwtree import PreorderTree
 
 POLICIES = ("lifo", "fifo")
@@ -183,6 +184,7 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     """
     if not initial_budget >= 1:  # also rejects NaN
         raise ValueError("budget must be >= 1")
+    require_integer("budget", initial_budget)
     if not scale_factor > 1:  # also rejects NaN
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
@@ -235,8 +237,8 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
         raise ValueError("budget must be >= 1")
     if not workers >= 1:  # also rejects NaN
         raise ValueError("workers must be >= 1")
-    if not isinstance(workers, numbers.Integral):  # it feeds range
-        raise ValueError("workers must be an integer")
+    require_integer("budget", budget)
+    require_integer("workers", workers)  # it feeds range
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
     # no event ends after horizon, and idle_time is at most workers * horizon

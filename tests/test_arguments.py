@@ -1,0 +1,65 @@
+"""Sizes, budgets, caps and indices must be integers: Python or numpy ones."""
+
+import numpy as np
+import pytest
+
+from gwsearch import analysis, gwtree, offspring, scheduler
+from gwsearch.bdfs import bdfs
+
+CAT = offspring.make_builtin("catalan")
+
+# each call passes one finite non-integer where an integer is needed
+NON_INTEGER = {
+    "run_single": (lambda t: scheduler.run_single(t, 2.5), "budget"),
+    "run_adaptive": (lambda t: scheduler.run_adaptive(t, 2.5, 1, 3, 2), "budget"),
+    "simulate_parallel": (lambda t: scheduler.simulate_parallel(t, 2.5, 2), "budget"),
+    "mu_mc": (lambda t: analysis.mu_mc(CAT, 2.5), "budget"),
+    "mu_exact": (lambda t: analysis.mu_exact(CAT, 2.5), "budget"),
+    "theorem1_check": (lambda t: analysis.theorem1_check(10, 25, CAT, 2.5), "budget"),
+    "size_pmf_exact": (lambda t: analysis.size_pmf_exact(CAT, 2.5), "t_max"),
+    "size_pmf_rational": (lambda t: analysis.size_pmf_rational(CAT, 2.5), "t_max"),
+    "size_pmf_asymptotic": (lambda t: analysis.size_pmf_asymptotic(CAT, 2.5), "n"),
+    "enumerate_small_trees": (
+        lambda t: analysis.enumerate_small_trees(CAT, 2.5), "n_max"),
+    "sample_exact": (lambda t: gwtree.sample_exact(CAT, 25.0, 0), "n"),
+    "sample_exact attempts": (
+        lambda t: gwtree.sample_exact(CAT, 25, 0, max_attempts=1.5), "max_attempts"),
+    "sample_unconditional": (
+        lambda t: gwtree.sample_unconditional(CAT, 0, cap=10.5), "cap"),
+    "sample_at_least": (lambda t: gwtree.sample_at_least(CAT, 10.5, 0), "n_min"),
+    "sample_at_least cap": (
+        lambda t: gwtree.sample_at_least(CAT, 10, 0, cap=20.5), "cap"),
+    "sample_at_least attempts": (
+        lambda t: gwtree.sample_at_least(CAT, 10, 0, max_attempts=1.5), "max_attempts"),
+    "adj j": (lambda t: t.adj(0, 2.5), "child index j"),
+    "adj v": (lambda t: t.adj(1.0, 1), "vertex"),
+    "bdfs budget": (lambda t: bdfs(t.adj, 0, 4, 2.5), "budget"),
+    "bdfs max_degree": (lambda t: bdfs(t.adj, 0, 4.5, 3), "max_degree"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER)
+def test_non_integer_sizes_and_budgets_rejected(case, tree25):
+    call, name = NON_INTEGER[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(tree25)
+
+
+def test_numpy_integer_sizes_and_budgets_accepted(tree25):
+    for kind in (np.int32, np.int64, np.uint16):
+        b = kind(13)
+        assert scheduler.run_single(tree25, b) == scheduler.run_single(tree25, 13)
+        assert scheduler.simulate_parallel(tree25, b, kind(2)) == \
+            scheduler.simulate_parallel(tree25, 13, 2)
+        assert analysis.mu_exact(CAT, b) == analysis.mu_exact(CAT, 13)
+        assert analysis.mu_mc(CAT, b, kind(100), seed=1) == \
+            analysis.mu_mc(CAT, 13, 100, seed=1)
+        assert tree25.adj(kind(7), kind(5)) == 15
+        assert bdfs(tree25.adj, 0, kind(6), b) == bdfs(tree25.adj, 0, 6, 13)
+        got, _ = gwtree.sample_at_least(CAT, kind(10), 0, cap=kind(500),
+                                        max_attempts=kind(99))
+        want, _ = gwtree.sample_at_least(CAT, 10, 0, cap=500, max_attempts=99)
+        assert np.array_equal(got.degrees, want.degrees)
+        got, _ = gwtree.sample_exact(CAT, kind(25), 0, max_attempts=kind(99))
+        want, _ = gwtree.sample_exact(CAT, 25, 0, max_attempts=99)
+        assert np.array_equal(got.degrees, want.degrees)

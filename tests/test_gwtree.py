@@ -107,6 +107,15 @@ def test_invalid_degree_sequences():
         gwtree.PreorderTree([0, 2, 0])
     with pytest.raises(ValueError, match="closes before the last node"):
         gwtree.PreorderTree([1, 0, 2, 0])
+    # sums n - 1, so Q is built, and closes at the first node
+    with pytest.raises(ValueError, match="closes before the last node"):
+        gwtree.PreorderTree([0, 3, 0, 0])
+    # running sums past the int32 range: the sum check comes first, in int64
+    big = gwtree.MAX_DEGREE
+    with pytest.raises(ValueError, match="degree sum 4294967294 != n - 1 = 3: not a tree"):
+        gwtree.PreorderTree([big, big, 0, 0])
+    with pytest.raises(ValueError, match="degree sum 2147483647 != n - 1 = 5: not a tree"):
+        gwtree.PreorderTree([big] + [0] * 5)
     with pytest.raises(ValueError, match="degrees must be >= 0"):
         gwtree.PreorderTree([3, -1, 0])
     with pytest.raises(ValueError, match="degrees must be <= 2147483647"):
