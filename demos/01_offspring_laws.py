@@ -10,8 +10,8 @@ by less than 1e-9.
 
 from gwsearch import offspring
 
-SPECS = ["catalan", "full_binary", "ternary_uniform", "uniform:2",
-         "harmonic:3", "harmonic:10", "geometric", "poisson", "binomial:4"]
+SPECS = ["catalan", "full_binary", "ternary_uniform", "harmonic:3", "harmonic:10",
+         "geometric", "poisson", "binomial:4"]
 
 
 def main():

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require_integer
+from ._checks import require_count, require_integer
 from .offspring import DRAW_BLOCK, OffspringDistribution
 
 # size-law ceiling of the Newton path (harmonic:10 at 4 * 10^6 takes about 25 s
@@ -115,7 +115,7 @@ def rational_pmf(dist: OffspringDistribution) -> list | None:
         return [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
     if name == "full_binary":
         return [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
-    if name in ("ternary_uniform", "uniform"):
+    if name == "ternary_uniform":
         return [Fraction(1, 3)] * 3
     if name == "harmonic":
         tail = [Fraction(1, i * p) for i in range(1, p + 1)]
@@ -134,9 +134,7 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     are exactly 0.0 and none is negative.  size_pmf_rational is its exact
     oracle.
     """
-    if not t_max >= 1:  # also rejects NaN
-        raise ValueError("t_max must be >= 1")
-    require_integer("t_max", t_max)
+    require_count("t_max", t_max)
     if t_max > DP_LIMIT:
         raise ValueError(
             f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
@@ -216,9 +214,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     Runs in integers over a common denominator; builtins with rational pmfs
     only, t_max <= 512.  The oracle for size_pmf_exact.
     """
-    if not t_max >= 1:  # also rejects NaN
-        raise ValueError("t_max must be >= 1")
-    require_integer("t_max", t_max)
+    require_count("t_max", t_max)
     if t_max > _RATIONAL_DP_LIMIT:
         raise ValueError(f"rational path capped at t_max = {_RATIONAL_DP_LIMIT}")
     p = rational_pmf(dist)
@@ -243,9 +239,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
 
 def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
     """E min(N, b) from the exact size law: sum_{t<=b} t P{N=t} + b P{N>b}."""
-    if not budget >= 1:  # also rejects NaN
-        raise ValueError("budget must be >= 1")
-    require_integer("budget", budget)
+    require_count("budget", budget)
     law = size_pmf_exact(dist, budget)
     value = math.fsum(t * law.pmf[t] for t in range(1, budget + 1)) + budget * law.tail
     return MuEstimate(value=value, method="exact-dp")
@@ -261,12 +255,8 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
     square are exact Python ints, so the mean is correctly rounded at any
     sample count.
     """
-    if not budget >= 1:  # also rejects NaN
-        raise ValueError("budget must be >= 1")
-    if not samples >= 1:
-        raise ValueError("samples must be >= 1")
-    require_integer("budget", budget)
-    require_integer("samples", samples)  # it feeds range
+    require_count("budget", budget)
+    require_count("samples", samples)  # it feeds range
     rng = np.random.default_rng(seed)
     total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
@@ -321,9 +311,7 @@ def _min_size_batch(dist, budget, m, rng):
 
 def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:
     """Local limit d / (sigma sqrt(2 pi) n^(3/2)); only sizes 1 mod d exist."""
-    if not n >= 1:  # also rejects NaN
-        raise ValueError("n must be >= 1")
-    require_integer("n", n)
+    require_count("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(f"P{{N={n}}} = 0: sizes are 1 mod {dist.span}")
     return dist.span / (dist.sigma * math.sqrt(2.0 * math.pi) * n ** 1.5)
@@ -346,6 +334,8 @@ def theorem1_check(restarts: int, n: int, dist: OffspringDistribution, budget: i
     """
     if mu_method != "exact":
         raise ValueError("mu_method must be 'exact'; mu_mc is the Monte Carlo route")
+    require_count("restarts", restarts, low=0)
+    require_count("n", n)
     est = mu_exact(dist, budget)
     sigma = dist.sigma
     return Theorem1Report(

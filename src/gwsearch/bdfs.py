@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import require_integer
+from ._checks import require_count
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,8 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
     pair popped on backtrack resumes the parent's child scan where it left
     off.  A None child advances j without pushing, counting, or outputting.
     """
-    if not budget >= 1:  # also rejects NaN
-        raise ValueError("budget must be >= 1")
-    if not max_degree >= 1:  # also rejects NaN
-        raise ValueError("max_degree must be >= 1")
-    require_integer("budget", budget)
-    require_integer("max_degree", max_degree)
+    require_count("budget", budget)
+    require_count("max_degree", max_degree)
     records = []
     stack_v = []
     stack_j = []

@@ -47,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import require_integer
+from ._checks import require_count, require_integer
 from .offspring import DRAW_BLOCK, OffspringDistribution
 
 
@@ -78,10 +78,8 @@ FIRST_CHUNK = 32  # draws in the first chunk of every sampling attempt
 
 
 def _check_size(name: str, value) -> None:
-    """A node count, once checked >= 1: at most MAX_NODES, and an integer."""
-    if value > MAX_NODES:  # also rejects inf, before anything is drawn
-        raise ValueError(f"{name} must be <= MAX_NODES = {MAX_NODES}")
-    require_integer(name, value)
+    """A node count: an integer in [1, MAX_NODES], checked before any draw."""
+    require_count(name, value, high=MAX_NODES, high_name="MAX_NODES")
 
 
 class PreorderTree:
@@ -219,6 +217,7 @@ def _grow(draw, cap: int):
         total += m
         pending = int(walk[-1])
         size = min(size * 2, DRAW_BLOCK)
+        del draws, walk  # a view of a read-ahead block would pin it over the next draw
     return Overflow(count=total, pending=pending)
 
 
@@ -233,8 +232,6 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     count returns to zero.  Chunked and vectorized; the draw sequence (hence
     the tree) depends only on the seed, not on chunk boundaries.
     """
-    if not cap >= 1:  # also rejects NaN
-        raise ValueError("cap must be >= 1")
     _check_size("cap", cap)
     rng = np.random.default_rng(seed)
     got = _grow(lambda m: dist.draw(rng, m), cap)
@@ -270,7 +267,8 @@ class _ReadAhead:
         if end <= self.block.size:
             self.pos = end
             return self.block[end - m:end]
-        head = self.block[self.pos:]
+        # the head (< m draws) is copied, so the old block goes before the draw
+        self.block = head = self.block[self.pos:].copy()
         self.state = self.rng.bit_generator.state
         self.block = self.dist.draw(self.rng, max(self.size, m - head.size))
         self.size = min(2 * self.size, DRAW_BLOCK)
@@ -327,8 +325,6 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     Trees, attempt counts and the generator's final position equal those of
     growing every attempt by _grow from dist.draw.
     """
-    if not n_min >= 1:  # also rejects NaN
-        raise ValueError("n_min must be >= 1")
     _check_size("n_min", n_min)
     if cap is None:
         cap = min(100 * n_min, MAX_NODES)
@@ -336,9 +332,7 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
         raise ValueError("cap must be >= n_min")
     _check_size("cap", cap)
     if max_attempts is not None:
-        if not max_attempts >= 1:
-            raise ValueError("max_attempts must be >= 1")
-        require_integer("max_attempts", max_attempts)
+        require_count("max_attempts", max_attempts)
     reader = _ReadAhead(dist, np.random.default_rng(seed))
     first = min(FIRST_CHUNK, cap)  # the first chunk of every attempt
     small = int(min(first, n_min - 1))  # an attempt closing at these nodes fails
@@ -375,16 +369,12 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     positive before step n (cycle lemma), and it maps i.i.d. draws to exactly
     the conditional Galton-Watson law.  Expected rejections grow like sqrt(n)/d.
     """
-    if not n >= 1:  # also rejects NaN
-        raise ValueError("n must be >= 1")
     _check_size("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
     if max_attempts is not None:
-        if not max_attempts >= 1:
-            raise ValueError("max_attempts must be >= 1")
-        require_integer("max_attempts", max_attempts)
+        require_count("max_attempts", max_attempts)
     rng = np.random.default_rng(seed)
     target = n - 1
     attempts = 0

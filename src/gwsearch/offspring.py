@@ -11,7 +11,6 @@ Builtin families, all critical:
     catalan          (1/4, 1/2, 1/4)            variance 1/2
     full_binary      (1/2, 0, 1/2)              variance 1,  span 2
     ternary_uniform  (1/3, 1/3, 1/3)            variance 2/3
-    uniform:k        uniform on {0..k}, k = 2 only (mean k/2 otherwise)
     harmonic:D       p_i = 1/(i*D), i = 1..D    variance (D-1)/2, D <= 10^6
     geometric        p_i = 2^-(i+1), truncated  variance 2
     poisson          exp(-1)/i!, truncated      variance 1
@@ -27,6 +26,7 @@ The span d = gcd{i > 0 : p_i > 0} controls which tree sizes are reachable
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -224,19 +224,11 @@ def _binomial_pmf(k: int) -> list[float]:
         raise ValueError(f"binomial:{k} is too large for float coefficients") from None
 
 
-def _uniform_pmf(k: int) -> list[float]:
-    if k != 2:
-        raise ValueError(
-            f"uniform on {{0..{k}}} has mean {k / 2:g}, not critical; only k=2 is "
-            "offered as a builtin (use make_custom with assert_critical=False)")
-    return [1.0 / 3.0] * 3
-
 # name -> (needs_param, truncated, recipe)
 _BUILTINS = {
     "catalan": (False, False, lambda _: [0.25, 0.5, 0.25]),
     "full_binary": (False, False, lambda _: [0.5, 0.0, 0.5]),
     "ternary_uniform": (False, False, lambda _: [1.0 / 3.0] * 3),
-    "uniform": (True, False, _uniform_pmf),
     "harmonic": (True, False, _harmonic_pmf),
     "binomial": (True, False, _binomial_pmf),
     "geometric": (False, True, lambda _: _truncate(lambda i: 0.5 ** (i + 1))),
@@ -261,8 +253,10 @@ def make_builtin(name: str, param: int | None = None) -> OffspringDistribution:
         raise ValueError(f"builtin {key!r} requires an integer parameter")
     if not needs_param and param is not None:
         raise ValueError(f"builtin {key!r} takes no parameter")
-    if param is not None and (not isinstance(param, int) or param < 0):
-        raise ValueError(f"parameter must be a non-negative integer, got {param!r}")
+    if param is not None:
+        if not isinstance(param, numbers.Integral) or param < 0:
+            raise ValueError(f"parameter must be a non-negative integer, got {param!r}")
+        param = int(param)
     tol = _CRIT_TOL_TRUNCATED if truncated else _CRIT_TOL_EXACT
     return _finalize(recipe(param), key, param, assert_critical=True, crit_tol=tol)
 

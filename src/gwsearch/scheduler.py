@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import require_integer
+from ._checks import require_count
 from .gwtree import PreorderTree
 
 POLICIES = ("lifo", "fifo")
@@ -182,9 +182,7 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     check on, the rest of the run is a fixed-budget run from the current job
     list, read off the block tiling (_tiled_run).
     """
-    if not initial_budget >= 1:  # also rejects NaN
-        raise ValueError("budget must be >= 1")
-    require_integer("budget", initial_budget)
+    require_count("budget", initial_budget)
     if not scale_factor > 1:  # also rejects NaN
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
@@ -233,12 +231,8 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     workers that never receive a job; speedup compares against the n - 1
     units a single uninterrupted traversal would need.
     """
-    if not budget >= 1:  # also rejects NaN
-        raise ValueError("budget must be >= 1")
-    if not workers >= 1:  # also rejects NaN
-        raise ValueError("workers must be >= 1")
-    require_integer("budget", budget)
-    require_integer("workers", workers)  # it feeds range
+    require_count("budget", budget)
+    require_count("workers", workers)  # it feeds range
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
     # no event ends after horizon, and idle_time is at most workers * horizon

@@ -12,15 +12,20 @@ a Generator unchanged and seeds a fresh PCG64 from anything else.
 
 from __future__ import annotations
 
+from ._checks import require_count, require_integer
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def substream(master: int, index: int) -> int:
-    """64-bit seed for substream ``index`` of ``master``, 0 <= master < 2^64."""
+    """64-bit seed for substream ``index`` >= 0 of ``master``, 0 <= master < 2^64."""
     if not 0 <= master <= _MASK:
         raise ValueError("seed must be in [0, 2**64)")
-    z = (master + (index + 1) * _GOLDEN) & _MASK
+    require_integer("seed", master)
+    require_count("index", index, low=0)
+    # numpy integers would overflow in the 64-bit products below
+    z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)

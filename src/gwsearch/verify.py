@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from . import analysis, gwtree, offspring, scheduler
+from ._checks import require_count
 from .bdfs import bdfs
 from .seeds import substream
 
@@ -294,8 +295,8 @@ def run_acceptance(level: str = "fast", seed=None):
         # not secrets.randbits: importing secrets here would load hashlib and
         # OpenSSL (about 4 MB of RSS) on every import of gwsearch
         seed = int(np.random.default_rng().integers(2 ** 63))
-    elif seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    else:
+        require_count("seed", seed, low=0)
     results = []
     for number, name, tier, check in _CHECKS:
         if tier == "full" and level != "full":

@@ -253,6 +253,7 @@ def test_theorem1_check_fields():
     assert rep.rho_exact == pytest.approx(5 * rep.mu / 25)
     assert rep.rho_table == pytest.approx(5 / (math.sqrt(0.5) * 25))
     assert rep.estimate == pytest.approx(math.sqrt(math.pi / (8 * 13)))
+    assert theorem1_check(0, 1, CATALAN, 5).rho_exact == 0.0  # restarts may be 0
 
 
 def test_theorem1_check_dispatch(monkeypatch):

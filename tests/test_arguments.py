@@ -1,10 +1,13 @@
 """Sizes, budgets, caps and indices must be integers: Python or numpy ones."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gwsearch import analysis, gwtree, offspring, scheduler
+from gwsearch import analysis, gwtree, offspring, scheduler, verify
 from gwsearch.bdfs import bdfs
+from gwsearch.seeds import substream
 
 CAT = offspring.make_builtin("catalan")
 
@@ -16,6 +19,9 @@ NON_INTEGER = {
     "mu_mc": (lambda t: analysis.mu_mc(CAT, 2.5), "budget"),
     "mu_exact": (lambda t: analysis.mu_exact(CAT, 2.5), "budget"),
     "theorem1_check": (lambda t: analysis.theorem1_check(10, 25, CAT, 2.5), "budget"),
+    "theorem1_check n": (lambda t: analysis.theorem1_check(10, 2.5, CAT, 5), "n"),
+    "theorem1_check restarts": (
+        lambda t: analysis.theorem1_check(2.5, 25, CAT, 5), "restarts"),
     "size_pmf_exact": (lambda t: analysis.size_pmf_exact(CAT, 2.5), "t_max"),
     "size_pmf_rational": (lambda t: analysis.size_pmf_rational(CAT, 2.5), "t_max"),
     "size_pmf_asymptotic": (lambda t: analysis.size_pmf_asymptotic(CAT, 2.5), "n"),
@@ -35,6 +41,23 @@ NON_INTEGER = {
     "adj v": (lambda t: t.adj(1.0, 1), "vertex"),
     "bdfs budget": (lambda t: bdfs(t.adj, 0, 4, 2.5), "budget"),
     "bdfs max_degree": (lambda t: bdfs(t.adj, 0, 4.5, 3), "max_degree"),
+    "substream master": (lambda t: substream(2.5, 0), "seed"),
+    "substream index": (lambda t: substream(0, 2.5), "index"),
+    "run_acceptance seed": (lambda t: verify.run_acceptance("fast", seed=2.5), "seed"),
+}
+
+# each call passes one value below its range, or NaN
+OUT_OF_RANGE = {
+    "theorem1_check n": (lambda: analysis.theorem1_check(3, 0, CAT, 5), "n must be >= 1"),
+    "theorem1_check NaN n": (
+        lambda: analysis.theorem1_check(3, math.nan, CAT, 5), "n must be >= 1"),
+    "theorem1_check restarts": (
+        lambda: analysis.theorem1_check(-1, 25, CAT, 5), "restarts must be >= 0"),
+    "theorem1_check NaN restarts": (
+        lambda: analysis.theorem1_check(math.nan, 25, CAT, 5), "restarts must be >= 0"),
+    "substream index": (lambda: substream(0, -3), "index must be >= 0"),
+    "run_acceptance seed": (
+        lambda: verify.run_acceptance("fast", seed=-1), "seed must be >= 0"),
 }
 
 
@@ -43,6 +66,13 @@ def test_non_integer_sizes_and_budgets_rejected(case, tree25):
     call, name = NON_INTEGER[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
         call(tree25)
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE)
+def test_out_of_range_counts_rejected(case):
+    call, message = OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_numpy_integer_sizes_and_budgets_accepted(tree25):
@@ -63,3 +93,14 @@ def test_numpy_integer_sizes_and_budgets_accepted(tree25):
         got, _ = gwtree.sample_exact(CAT, kind(25), 0, max_attempts=kind(99))
         want, _ = gwtree.sample_exact(CAT, 25, 0, max_attempts=99)
         assert np.array_equal(got.degrees, want.degrees)
+
+
+def test_numpy_integer_parameters_and_seeds_accepted():
+    for kind in (np.int32, np.int64, np.uint16):
+        dist = offspring.make_builtin("harmonic", kind(10))
+        assert type(dist.param) is int
+        assert np.array_equal(dist.pmf, offspring.make_builtin("harmonic", 10).pmf)
+        assert substream(kind(5), kind(1)) == substream(5, 1)
+        assert analysis.theorem1_check(kind(3), kind(25), CAT, 5) == \
+            analysis.theorem1_check(3, 25, CAT, 5)
+    assert substream(np.uint64(2 ** 64 - 1), 0) == substream(2 ** 64 - 1, 0)

@@ -23,7 +23,7 @@ def assert_draw_exact(dist, seed, m):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-BUILTINS = ["catalan", "full_binary", "ternary_uniform", "uniform:2", "harmonic:2",
+BUILTINS = ["catalan", "full_binary", "ternary_uniform", "harmonic:2",
             "harmonic:10", "harmonic:300", "geometric", "poisson", "binomial:2",
             "binomial:1000"]
 

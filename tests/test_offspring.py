@@ -27,17 +27,19 @@ def test_full_binary_moments():
     assert d.span == 2  # only even positive degrees, sizes are odd
 
 
-def test_ternary_uniform_equals_uniform_2():
+def test_ternary_uniform_family():
     t = offspring.make_builtin("ternary_uniform")
-    u = offspring.make_builtin("uniform", 2)
-    assert np.array_equal(t.pmf, u.pmf)
+    assert np.array_equal(t.pmf, [1.0 / 3.0] * 3)
     assert t.variance == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert t.span == 1
 
 
-def test_uniform_requires_k_2():
-    with pytest.raises(ValueError, match="only k=2"):
-        offspring.make_builtin("uniform", 3)
+def test_uniform_builtin_removed():
+    # uniform:k was critical only at k = 2, which is ternary_uniform
+    for call in (lambda: offspring.make_builtin("uniform", 2),
+                 lambda: offspring.parse_spec("uniform:2")):
+        with pytest.raises(ValueError, match="unknown builtin 'uniform'"):
+            call()
 
 
 def test_harmonic_family():
@@ -169,5 +171,6 @@ def test_parse_spec_parameter_is_ascii_digits(param):
 
 def test_builtin_names_listed():
     names = offspring.builtin_names()
-    assert "catalan" in names and "harmonic" in names and "uniform" in names
+    assert "catalan" in names and "harmonic" in names and "ternary_uniform" in names
+    assert "uniform" not in names
     assert names == sorted(names)
