@@ -6,7 +6,8 @@
 Run it from anywhere inside a checkout of the repository: the library is
 imported from the checkout's ``src/``.  For one tree, sampled by
 ``sample_at_least(spec, n, seed)``, each layer runs once under tracemalloc,
-which sees numpy's array buffers as well as Python objects:
+which sees numpy's array buffers as well as Python objects, after one
+untraced small sampling call has loaded what numpy imports lazily:
 
 * ``sample_at_least`` (the accepted tree's size is the per-node base of
   every row), ``PreorderTree`` rebuilt from that tree's degrees,
@@ -86,6 +87,9 @@ def main(argv=None) -> int:
     from gwsearch import analysis, gwtree, offspring
 
     dist = offspring.parse_spec(args.spec)
+    # untraced: numpy's lazy imports (numpy.random._pickle, about 0.7 MB, on
+    # the first read of a generator's state) are not the sampler's
+    gwtree.sample_at_least(dist, 2, seed=args.seed)
     rows = []
     (tree, attempts), peak, kept = traced(
         lambda: gwtree.sample_at_least(dist, args.n, seed=args.seed))

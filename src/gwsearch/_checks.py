@@ -2,7 +2,7 @@
 
 Every size, budget, cap and count passes require_count: a value out of range,
 NaN included, gets the range message, then a non-integer (2.5 and 25.0 alike)
-gets "<name> must be an integer".  Python and numpy integers both pass.
+gets "<name> must be an integer".  Python and numpy integers pass, bools not.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ def require_integer(name: str, value) -> None:
     """Raise ValueError("<name> must be an integer") unless value is integral.
 
     Python and numpy integers pass; floats do not, even integral ones, since
-    range() and numpy indexing refuse them.
+    range() and numpy indexing refuse them; nor do bools, numpy's masks.
     """
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
 
 

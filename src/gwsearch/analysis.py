@@ -38,6 +38,7 @@ import numpy as np
 
 from ._checks import require_count, require_integer
 from .offspring import DRAW_BLOCK, OffspringDistribution
+from .seeds import generator
 
 # size-law ceiling of the Newton path (harmonic:10 at 4 * 10^6 takes about 25 s
 # and 380 MB); past this only mu_analytic / mu_mc are offered
@@ -257,7 +258,7 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
     """
     require_count("budget", budget)
     require_count("samples", samples)  # it feeds range
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
         s, sq = _min_size_batch(dist, budget, min(_MC_CHUNK, samples - start), rng)

@@ -78,7 +78,7 @@ def _runs(text: str) -> int:
 
 def _seed(text: str) -> int:
     seed = _integer(text, "seed")
-    if seed < 0:  # numpy would reject it in gen with a message naming no flag
+    if seed < 0:  # at parse time, before sweep or gen samples anything
         raise argparse.ArgumentTypeError("seed must be >= 0")
     return seed
 

@@ -18,7 +18,7 @@ arrays stay near what it keeps.  Peak bytes per node above what was held
 before the call (tracemalloc; ternary_uniform and harmonic:10 trees of
 1.3-1.6 * 10^6 nodes), with what the layer keeps:
 
-  * sample_at_least  13.1 / 13.2, keeps 8 (the degrees and Q)
+  * sample_at_least  12.6 / 12.6, keeps 8 (the degrees and Q)
   * PreorderTree      4.0 from int32 degrees, keeps 4 (Q)
   * extent            7.8 / 10.4, keeps 4 (the extents)
   * write_tree        0.5 / 1.1, keeps nothing
@@ -49,6 +49,7 @@ import numpy as np
 
 from ._checks import require_count, require_integer
 from .offspring import DRAW_BLOCK, OffspringDistribution
+from .seeds import generator
 
 
 class AttemptsExhausted(RuntimeError):
@@ -233,7 +234,7 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     the tree) depends only on the seed, not on chunk boundaries.
     """
     _check_size("cap", cap)
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     got = _grow(lambda m: dist.draw(rng, m), cap)
     return got if isinstance(got, Overflow) else _tree(got)
 
@@ -333,7 +334,7 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     _check_size("cap", cap)
     if max_attempts is not None:
         require_count("max_attempts", max_attempts)
-    reader = _ReadAhead(dist, np.random.default_rng(seed))
+    reader = _ReadAhead(dist, generator(seed))
     first = min(FIRST_CHUNK, cap)  # the first chunk of every attempt
     small = int(min(first, n_min - 1))  # an attempt closing at these nodes fails
     limit = math.inf if max_attempts is None else max_attempts
@@ -375,7 +376,7 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
     if max_attempts is not None:
         require_count("max_attempts", max_attempts)
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     target = n - 1
     attempts = 0
     while True:

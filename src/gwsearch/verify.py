@@ -24,9 +24,9 @@ import time
 import numpy as np
 
 from . import analysis, gwtree, offspring, scheduler
-from ._checks import require_count
+from ._checks import require_integer
 from .bdfs import bdfs
-from .seeds import substream
+from .seeds import generator, substream
 
 # Degree sequence (preorder) of the 25-node example tree.  Node ids are
 # preorder ranks 0..24; the root has four children.
@@ -294,16 +294,16 @@ def run_acceptance(level: str = "fast", seed=None):
     if seed is None:
         # not secrets.randbits: importing secrets here would load hashlib and
         # OpenSSL (about 4 MB of RSS) on every import of gwsearch
-        seed = int(np.random.default_rng().integers(2 ** 63))
-    else:
-        require_count("seed", seed, low=0)
+        seed = int(generator().integers(2 ** 63))
+    require_integer("seed", seed)  # a Generator would print no seed to replay
+    generator(seed)  # the seed rule, checked before any check runs
     results = []
     for number, name, tier, check in _CHECKS:
         if tier == "full" and level != "full":
             continue
         start = time.perf_counter()
         if number in _SEEDED_CHECKS:
-            passed, detail = check(np.random.default_rng(seed))
+            passed, detail = check(generator(seed))
             detail = f"{detail}, seed={seed}"
         else:
             passed, detail = check()

@@ -70,6 +70,31 @@ def test_size_pmf_matches_convolution_dp(spec, budget, mu, last):
     assert mu_exact(dist, budget).value == pytest.approx(mu, rel=1e-10)
 
 
+def _ternary_uniform_count(t):
+    """c_t = [s^(t-1)] (1 + s + s^2)^t = sum_j t! / ((j+1)! j! (t-1-2j)!), so
+    that P{N = t} = c_t / (t 3^t) for ternary_uniform (Lagrange inversion)."""
+    total = term = t  # j = 0
+    for j in range((t - 1) // 2):
+        term = term * (t - 1 - 2 * j) * (t - 2 - 2 * j) // ((j + 1) * (j + 2))
+        total += term
+    return total
+
+
+def test_ternary_uniform_oracle_matches_rational():
+    law = size_pmf_rational(offspring.make_builtin("ternary_uniform"), 12)
+    for t in range(1, 13):
+        assert law.pmf[t] == Fraction(_ternary_uniform_count(t), t * 3 ** t)
+
+
+def test_size_pmf_deep_coefficients_match_exact_oracle():
+    # the bound was fixed before any rewrite of the Newton path was measured
+    # against it; that path's worst error here was 2.0e-12
+    law = size_pmf_exact(offspring.make_builtin("ternary_uniform"), 10_000)
+    for t in (100, 1001, 5000, 9999, 10_000):
+        exact = _ternary_uniform_count(t) / (t * 3 ** t)  # correctly rounded
+        assert law.pmf[t] == pytest.approx(exact, rel=1e-10, abs=0)
+
+
 def test_size_pmf_lattice_and_sign():
     law = size_pmf_exact(FULL_BINARY, 10_000)
     assert all(law.pmf[t] == 0.0 for t in range(0, 10_001, 2))

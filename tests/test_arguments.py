@@ -1,4 +1,4 @@
-"""Sizes, budgets, caps and indices must be integers: Python or numpy ones."""
+"""Sizes, budgets, caps, indices and seeds must be integers: Python or numpy ones."""
 
 import math
 
@@ -7,11 +7,12 @@ import pytest
 
 from gwsearch import analysis, gwtree, offspring, scheduler, verify
 from gwsearch.bdfs import bdfs
-from gwsearch.seeds import substream
+from gwsearch.seeds import generator, substream
 
 CAT = offspring.make_builtin("catalan")
 
-# each call passes one finite non-integer where an integer is needed
+# each call passes one non-integer where an integer is needed: a float, a bool,
+# a str or a seed object
 NON_INTEGER = {
     "run_single": (lambda t: scheduler.run_single(t, 2.5), "budget"),
     "run_adaptive": (lambda t: scheduler.run_adaptive(t, 2.5, 1, 3, 2), "budget"),
@@ -44,7 +45,33 @@ NON_INTEGER = {
     "substream master": (lambda t: substream(2.5, 0), "seed"),
     "substream index": (lambda t: substream(0, 2.5), "index"),
     "run_acceptance seed": (lambda t: verify.run_acceptance("fast", seed=2.5), "seed"),
+    "run_acceptance NaN seed": (
+        lambda t: verify.run_acceptance("fast", seed=math.nan), "seed"),
+    "run_acceptance Generator seed": (
+        lambda t: verify.run_acceptance("fast", seed=np.random.default_rng(1)), "seed"),
+    # bools are integers to Python, masks to numpy
+    "run_single True": (lambda t: scheduler.run_single(t, True), "budget"),
+    "adj True": (lambda t: t.adj(True, 1), "vertex"),
+    "substream True": (lambda t: substream(True, 0), "seed"),
+    "substream str": (lambda t: substream("7", 0), "seed"),
+    "sample_exact True": (lambda t: gwtree.sample_exact(CAT, True, 0), "n"),
 }
+
+# the samplers and mu_mc take None, a Generator or an integer >= 0 as seed
+SEED_CALLS = {
+    "sample_unconditional": lambda seed: gwtree.sample_unconditional(CAT, seed),
+    "sample_at_least": lambda seed: gwtree.sample_at_least(CAT, 5, seed),
+    "sample_exact": lambda seed: gwtree.sample_exact(CAT, 5, seed),
+    "mu_mc": lambda seed: analysis.mu_mc(CAT, 5, 10, seed=seed),
+}
+NON_INTEGER_SEEDS = {
+    "True": True, "2.5": 2.5, "NaN": math.nan, "float64": np.float64(3),
+    "str": "7", "list": [1, 2], "SeedSequence": np.random.SeedSequence(1),
+    "BitGenerator": np.random.PCG64(1),
+}
+NON_INTEGER.update({
+    f"{call} {kind} seed": (lambda t, c=SEED_CALLS[call], s=bad: c(s), "seed")
+    for call in SEED_CALLS for kind, bad in NON_INTEGER_SEEDS.items()})
 
 # each call passes one value below its range, or NaN
 OUT_OF_RANGE = {
@@ -59,6 +86,9 @@ OUT_OF_RANGE = {
     "run_acceptance seed": (
         lambda: verify.run_acceptance("fast", seed=-1), "seed must be >= 0"),
 }
+OUT_OF_RANGE.update({
+    f"{call} {kind} seed": (lambda c=SEED_CALLS[call], s=bad: c(s), "seed must be >= 0")
+    for call in SEED_CALLS for kind, bad in (("-1", -1), ("int8", np.int8(-2)))})
 
 
 @pytest.mark.parametrize("case", NON_INTEGER)
@@ -104,3 +134,12 @@ def test_numpy_integer_parameters_and_seeds_accepted():
         assert analysis.theorem1_check(kind(3), kind(25), CAT, 5) == \
             analysis.theorem1_check(3, 25, CAT, 5)
     assert substream(np.uint64(2 ** 64 - 1), 0) == substream(2 ** 64 - 1, 0)
+
+
+def test_generator_is_the_callers_or_seeded_as_numpy_seeds_it():
+    rng = np.random.default_rng(4)
+    assert generator(rng) is rng
+    for seed in (0, 7, 2 ** 64, 2 ** 200, np.int64(7), np.uint64(2 ** 64 - 1)):
+        want = np.random.default_rng(int(seed)).integers(2 ** 62, size=4)
+        assert np.array_equal(generator(seed).integers(2 ** 62, size=4), want)
+    assert generator().bit_generator.state != generator().bit_generator.state
