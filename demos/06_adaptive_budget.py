@@ -30,7 +30,7 @@ def compress(budgets):
 
 def summarize(tag, stats):
     print(f"{tag:<30} calls={stats.calls:<6d} R={stats.restarts:<6d} "
-          f"trajectory: {compress(stats.budgets)}")
+          f"trajectory: {compress(stats.budgets.tolist())}")
 
 
 def main():
@@ -55,14 +55,14 @@ def main():
     wide = scheduler.run_adaptive(tree, 1000, 0, math.inf, 4)
     fixed = scheduler.run_single(tree, 1000)
     print("marks (0, inf) change nothing:",
-          (wide.restarts, wide.calls, wide.budgets) ==
-          (fixed.restarts, fixed.calls, fixed.budgets))
+          (wide.restarts, wide.calls, wide.budgets.tolist()) ==
+          (fixed.restarts, fixed.calls, fixed.budgets.tolist()))
     print()
 
     print("the divide clamps at 2, so a tiny initial budget cannot collapse:")
     clamped = scheduler.run_adaptive(tree, 2, 10, 10 ** 9, 5)
     print(f"  adaptive 2 / low mark 10: every budget is "
-          f"{sorted(set(clamped.budgets))}, calls={clamped.calls}")
+          f"{sorted(set(clamped.budgets.tolist()))}, calls={clamped.calls}")
 
 
 if __name__ == "__main__":

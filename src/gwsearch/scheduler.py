@@ -31,7 +31,13 @@ per-job start cost, at job granularity: node-level interleaving cannot change
 any reported aggregate, so jobs execute atomically in sim time.
 
 Runs return SearchStats and SimReport and write no files; the search and
-simulate CSVs are formatted by the CLI.
+simulate CSVs are formatted by the CLI.  SearchStats keeps the list size and
+budget of every call as read-only int64 arrays, 16 bytes a call, since a run
+at b = 2 makes about 0.6 calls a node; a tiled run holds its starts,
+extents, ends and roots in int32 and peaks at about 20 bytes a call under
+LIFO and 25 under FIFO (tracemalloc, b = 2, on 10^5-10^6-node
+ternary_uniform trees).  Budgets are saturated at sys.maxsize, which an
+int64 holds.
 """
 
 from __future__ import annotations
@@ -62,15 +68,28 @@ def _job_list(policy: str):
 
 @dataclass
 class SearchStats:
-    """Aggregates of one complete run over a tree."""
+    """Aggregates of one complete run over a tree.
+
+    list_sizes and budgets hold one entry per call, in call order, as
+    read-only int64 arrays, 16 bytes a call.  Two runs compare equal when
+    every field does, the series by np.array_equal.
+    """
 
     n: int
     policy: str
     restarts: int
     calls: int
     evaluations: int
-    list_sizes: list = field(repr=False)
-    budgets: list = field(repr=False)
+    list_sizes: np.ndarray = field(repr=False)
+    budgets: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        return ((self.n, self.policy, self.restarts, self.calls, self.evaluations)
+                == (other.n, other.policy, other.restarts, other.calls, other.evaluations)
+                and np.array_equal(self.list_sizes, other.list_sizes)
+                and np.array_equal(self.budgets, other.budgets))
 
 
 @dataclass(frozen=True)
@@ -112,45 +131,58 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     its jobs root disjoint subtree intervals.  The call at s explores
     [s, s + min(b, ext[s])), and these blocks tile every interval, so the
     starts are the orbits of the jobs under s -> s + min(b, ext[s]), chased
-    in position order.  A call with ext[s] > b returns k = Q[s+b] - Q[s] + 1
-    roots (s + b, then one per level its walk climbs back down).
+    in position order.  Every start but the jobs is a pushed root, and every
+    node of the jobs' subtrees but the jobs is generated once.  A call with
+    ext[s] > b returns k = Q[s+b] - Q[s] + 1 roots (s + b, then one per
+    level its walk climbs back down).
     A LIFO stack ascends, so it pops by subtree end, latest first.  A FIFO
     queue holds at most two generations, each ascending, and the later one
     is exactly the jobs that lie before the head; it pops by generation:
     that offset plus the number of job subtrees enclosing the start.  In
     either pop order the list size after the i-th pop is len(jobs) - 1 plus
     the roots pushed before it minus i.
+    Positions and counts are int32 (n < 2^31), freed once used; the list
+    sizes are an int64 array.
     """
     b = min(budget, tree.n)  # larger budgets cut no subtree either
     ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
-    starts = array("q")
-    push = starts.append
+    chased = array("i")  # C int: int32
+    push = chased.append
     for s in sorted(jobs):
         end = s + ext[s]
         while s < end:  # one step per call: the hot loop of a small budget
             push(s)
             e = ext[s]
             s += b if e > b else e
-    starts = np.frombuffer(starts, dtype=np.int64)
-    extents = tree.extent[starts]
-    cut = extents > b
-    roots = np.zeros_like(starts)
+    restarts = len(chased) - len(jobs)
+    evaluations = sum(ext[s] for s in jobs) - len(jobs)
+    starts = np.frombuffer(chased, dtype=np.int32)
+    ends = tree.extent[starts]  # the extents, until the starts are added
+    cut = ends > b
     at = starts[cut]
-    roots[cut] = tree.q_path()[at + b] - tree.q_path()[at] + 1
-    # a call that cuts its subtree generates b - 1 + k nodes
-    evaluations = int(np.where(cut, b - 1 + roots, extents - 1).sum())
-    ends = starts + extents
+    q = tree.q_path()
+    roots = np.zeros_like(starts)
+    roots[cut] = q[at + b] - q[at] + 1
+    del cut, at
+    ends += starts
     # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
     if policy == "fifo":  # job subtrees enclosing the start, plus the offset
-        generation = np.arange(starts.size) - np.searchsorted(np.sort(ends), starts,
-                                                               side="right")
+        generation = np.arange(starts.size, dtype=np.int32)
+        ends.sort()
+        generation -= np.searchsorted(ends, starts, side="right")
         generation[:np.searchsorted(starts, jobs[0])] += 1
         order = np.argsort(generation, kind="stable")
     else:
-        order = np.argsort(-ends, kind="stable")
+        np.negative(ends, out=ends)
+        order = np.argsort(ends, kind="stable")
+    del starts, chased, ends
     pushed = roots[order]
-    sizes = len(jobs) - 1 + np.cumsum(pushed) - pushed - np.arange(pushed.size)
-    return int(roots.sum()), evaluations, sizes.tolist()
+    del roots, order
+    sizes = np.empty(pushed.size, dtype=np.int64)
+    sizes[0] = len(jobs) - 1
+    np.subtract(pushed[:-1], 1, out=sizes[1:])  # a call's roots in, its pop out
+    np.cumsum(sizes, out=sizes)  # in place: no int64 copy of the input
+    return restarts, evaluations, sizes
 
 
 def run_single(tree: PreorderTree, budget: int, policy: str = "lifo") -> SearchStats:
@@ -171,9 +203,9 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     work, i.e. before the next start vertex is popped: below low_mark the
     budget divides by scale_factor (floored, never below 2), above high_mark
     it multiplies (floored, never above sys.maxsize: no tree has that many
-    nodes, so a saturated budget cuts nothing).  Marks (0, inf) are
-    run_single.  The budget used by each call is reported in
-    SearchStats.budgets.
+    nodes, so a saturated budget cuts nothing; a larger initial budget
+    starts there).  Marks (0, inf) are run_single.  The budget used by each
+    call is reported in SearchStats.budgets.
 
     The loop makes one call at a time until no update can fire again: the
     list never holds more than n jobs, so with high_mark >= n the budget
@@ -189,11 +221,12 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         raise ValueError("need 0 <= low_mark < high_mark")
     ext = memoryview(tree.extent)
     pinned = high_mark >= tree.n  # no multiply can fire
-    budget = initial_budget
+    budget = min(int(initial_budget), sys.maxsize)
     jobs, pop = _job_list(policy)
     restarts = evaluations = 0
-    sizes = []
-    budgets = []
+    sizes = array("q")  # the calls made one at a time
+    budgets = array("q")
+    tail = np.empty(0, dtype=np.int64)  # list sizes of the tiled rest of the run
     while jobs:
         pressure = len(jobs)
         if pressure < low_mark:
@@ -204,8 +237,6 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
             tail_restarts, tail_evaluations, tail = _tiled_run(tree, budget, jobs, policy)
             restarts += tail_restarts
             evaluations += tail_evaluations
-            sizes += tail
-            budgets += [budget] * len(tail)
             break
         sizes.append(pressure - 1)
         budgets.append(budget)
@@ -213,9 +244,15 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
         evaluations += generated
         restarts += len(unexplored)
         jobs.extend(unexplored)
+    list_sizes = np.concatenate((sizes, tail))
+    del sizes, tail
+    # the tail ran at the final budget; the calls made one at a time differ
+    all_budgets = np.full(list_sizes.size, budget, dtype=np.int64)
+    all_budgets[:len(budgets)] = budgets
+    list_sizes.flags.writeable = all_budgets.flags.writeable = False
     return SearchStats(n=tree.n, policy=policy, restarts=restarts,
-                       calls=len(sizes), evaluations=evaluations,
-                       list_sizes=sizes, budgets=budgets)
+                       calls=list_sizes.size, evaluations=evaluations,
+                       list_sizes=list_sizes, budgets=all_budgets)
 
 
 def simulate_parallel(tree: PreorderTree, budget: int, workers: int,

@@ -73,7 +73,7 @@ def _check_fixtures():
         return False, f"b=8 frontier mismatch: {sorted(flag_true8)}"
     stats = scheduler.run_single(tree, 13)
     if (stats.restarts, stats.calls) != (5, 6) or tuple(stats.list_sizes) != (0, 4, 3, 2, 1, 0):
-        return False, f"b=13 run mismatch: R={stats.restarts} sizes={stats.list_sizes}"
+        return False, f"b=13 run mismatch: R={stats.restarts} sizes={stats.list_sizes.tolist()}"
     for b in (25, 100):
         if scheduler.run_single(tree, b).restarts != 0:
             return False, f"b={b} should explore everything in one call"

@@ -145,6 +145,17 @@ def test_search_budget_extremes(tree25_path, tmp_path, capsys):
     assert capsys.readouterr().err == "gwsearch: error: budget must be >= 1\n"
 
 
+def test_search_budget_past_64_bits(tree25_path, tmp_path, capsys):
+    # the trace reports the budget saturated at sys.maxsize, the summary as given
+    budget = str(10**30)
+    summary, trace = tmp_path / "summary.csv", tmp_path / "trace.csv"
+    assert run_cli("search", "--tree", tree25_path, "--budget", budget,
+                   "--out", str(summary), "--trace", str(trace)) == 0
+    assert capsys.readouterr().out == \
+        f"n=25 b={budget} policy=lifo R=0 calls=1 evaluations=24\n"
+    assert summary.read_bytes().splitlines()[1] == f"25,{budget},lifo,0,1,24".encode()
+    assert trace.read_bytes() == f"call,list_size,budget\r\n1,0,{sys.maxsize}\r\n".encode()
+
 def test_search_malformed_tree(tmp_path, capsys):
     bad = tmp_path / "bad.tree"
     bad.write_text("abc\n0\n")

@@ -1,6 +1,8 @@
 """Property-based checks over randomly generated preorder trees."""
 
 import math
+import pathlib
+import subprocess
 import sys
 from collections import deque
 
@@ -365,3 +367,27 @@ def test_min_size_batch_matches_per_tree_sizes(spec, budget, m, seed):
     got = analysis._min_size_batch(dist, budget, m, ours)
     assert got == (int(sizes.sum()), int((sizes * sizes).sum()))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_is_reported_and_the_session_goes_on(tmp_path):
+    # Hypothesis imports libcst to report a failure, and libcst warns on import;
+    # under the repository's warning filters that must not abort the session
+    (tmp_path / "test_child.py").write_text(FAILING_PROPERTY)
+    config = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "test_child.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

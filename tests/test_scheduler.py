@@ -1,11 +1,13 @@
 """Master loop, adaptive budgets, and the parallel-worker simulation."""
 
+import dataclasses
 import heapq
 import math
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gwsearch import scheduler
@@ -22,8 +24,8 @@ def test_run_single_fixture(tree25):
     assert stats.restarts == 5
     assert stats.calls == 6
     assert stats.evaluations == 24
-    assert stats.list_sizes == [0, 4, 3, 2, 1, 0]
-    assert stats.budgets == [13] * 6
+    assert stats.list_sizes.tolist() == [0, 4, 3, 2, 1, 0]
+    assert stats.budgets.tolist() == [13] * 6
 
 
 def test_run_single_budget_extremes(tree25):
@@ -32,7 +34,7 @@ def test_run_single_budget_extremes(tree25):
     for b in (25, 26, 1000):
         full = run_single(tree25, b)
         assert (full.restarts, full.calls) == (0, 1)
-        assert full.list_sizes == [0]
+        assert full.list_sizes.tolist() == [0]
     eight = run_single(tree25, 8)
     assert (eight.restarts, eight.calls) == (8, 9)
 
@@ -66,11 +68,11 @@ def test_pop_order(tree25):
     # lifo pops the newest job, fifo the oldest; the list sizes show which
     lifo = run_single(tree25, 2, policy="lifo")
     fifo = run_single(tree25, 2, policy="fifo")
-    assert lifo.list_sizes == [0, 7, 7, 6, 7, 6, 5, 9, 8, 7, 7, 6, 5, 4, 3, 2, 1, 0]
-    assert fifo.list_sizes == [0, 7, 6, 5, 4, 3, 2, 6, 7, 7, 6, 5, 5, 4, 3, 2, 1, 0]
+    assert lifo.list_sizes.tolist() == [0, 7, 7, 6, 7, 6, 5, 9, 8, 7, 7, 6, 5, 4, 3, 2, 1, 0]
+    assert fifo.list_sizes.tolist() == [0, 7, 6, 5, 4, 3, 2, 6, 7, 7, 6, 5, 5, 4, 3, 2, 1, 0]
     for b in (8, 13):  # every job after the first fits: the order cannot show
-        assert run_single(tree25, b, policy="lifo").list_sizes == \
-               run_single(tree25, b, policy="fifo").list_sizes
+        assert run_single(tree25, b, policy="lifo").list_sizes.tolist() == \
+               run_single(tree25, b, policy="fifo").list_sizes.tolist()
 
 
 def test_run_single_validation(tree25):
@@ -83,30 +85,31 @@ def test_run_single_validation(tree25):
 def test_adaptive_wide_marks_match_run_single(tree25):
     fixed = run_single(tree25, 13)
     adaptive = run_adaptive(tree25, 13, 0, math.inf, 2)
-    assert adaptive.budgets == [13] * 6
+    assert adaptive.budgets.tolist() == [13] * 6
     assert (adaptive.restarts, adaptive.calls, adaptive.evaluations,
-            adaptive.list_sizes) == (fixed.restarts, fixed.calls,
-                                     fixed.evaluations, fixed.list_sizes)
+            adaptive.list_sizes.tolist()) == (fixed.restarts, fixed.calls,
+                                              fixed.evaluations,
+                                              fixed.list_sizes.tolist())
 
 
 def test_adaptive_single_call(tree25):
     stats = run_adaptive(tree25, 25, 1, 10, 5)
-    assert stats.budgets == [25]
+    assert stats.budgets.tolist() == [25]
     assert stats.calls == 1 and stats.restarts == 0
 
 
 def test_adaptive_growth_is_monotone(tree25):
     # low_mark 0 never triggers a divide, so budgets can only grow
     stats = run_adaptive(tree25, 13, 0, 3, 2)
-    assert stats.budgets == [13, 26, 52, 52, 52, 52]
-    assert stats.budgets == sorted(stats.budgets)
+    assert stats.budgets.tolist() == [13, 26, 52, 52, 52, 52]
+    assert stats.budgets.tolist() == sorted(stats.budgets.tolist())
     assert stats.restarts == 5  # all restarts come from the first call
-    assert stats.list_sizes == [0, 4, 3, 2, 1, 0]
+    assert stats.list_sizes.tolist() == [0, 4, 3, 2, 1, 0]
 
 
 def test_adaptive_divide_clamps_at_two(tree25):
     stats = run_adaptive(tree25, 2, 10, 100, 5)
-    assert stats.budgets == [2] * stats.calls
+    assert stats.budgets.tolist() == [2] * stats.calls
     assert stats.restarts == run_single(tree25, 2).restarts
 
 
@@ -128,11 +131,36 @@ def test_adaptive_multiply_saturates():
         stats = run_adaptive(star, 1, 0, 1, factor)
         assert stats.restarts == 2999
         assert max(stats.budgets) == sys.maxsize
-    # a budget above the ceiling comes down to it at its first multiply
-    assert run_adaptive(star, 2 * sys.maxsize, 0, 0.5, 2).budgets == [sys.maxsize]
+    # a budget above the ceiling comes down to it on entry
+    assert run_adaptive(star, 2 * sys.maxsize, 0, 0.5, 2).budgets.tolist() == [sys.maxsize]
     with pytest.raises(ValueError, match="scale_factor must be > 1"):
         run_adaptive(star, 1, 0, 1, math.nan)
 
+
+def test_budget_past_64_bits_saturates(tree25):
+    # the int64 series hold sys.maxsize; no tree has that many nodes
+    for policy in scheduler.POLICIES:
+        stats = run_single(tree25, 2**70, policy)
+        assert (stats.restarts, stats.calls, stats.evaluations) == (0, 1, 24)
+        assert stats.budgets.tolist() == [sys.maxsize]
+
+
+def test_series_are_read_only_int64_arrays(tree25):
+    # all tiled, all call by call, and a run handed to the tiling mid-way
+    for stats in (run_single(tree25, 2), run_adaptive(tree25, 13, 0, 3, 2),
+                  run_adaptive(tree25, 13, 10, math.inf, 2)):
+        for series in (stats.list_sizes, stats.budgets):
+            assert series.dtype == np.int64 and series.shape == (stats.calls,)
+            assert not series.flags.writeable
+
+
+def test_search_stats_equality(tree25):
+    fixed = run_single(tree25, 13)
+    assert fixed == run_adaptive(tree25, 13, 0, math.inf, 2)
+    assert fixed != run_single(tree25, 13, policy="fifo")
+    assert fixed != dataclasses.replace(fixed, list_sizes=fixed.list_sizes + 1)
+    assert fixed != dataclasses.replace(fixed, budgets=fixed.budgets + 1)
+    assert fixed != "fixed"
 
 def test_simulate_single_worker(tree25):
     report = simulate_parallel(tree25, 13, 1, restart_cost=0)
