@@ -16,15 +16,21 @@ So the call at s explores exactly the block [s, s + min(b, ext[s])), the
 blocks of a run tile [0, n), and a fixed-budget run is read off that
 tiling (_tiled_run): one chase through the extents finds the starts, and
 both pop orders and their list sizes follow from a sort.  run_adaptive
-makes one call at a time (_call_extent, repeated extent jumps, O(restarts)
-per call) while its budget can still move, since the budget depends on the
-list size the loop has reached; once no update can fire again, it hands the
-pending jobs to _tiled_run.  run_single is run_adaptive at marks (0, inf),
-which hand the root job to _tiled_run at the first pressure check.
-simulate_parallel keeps one call at a time: a simulator that replayed
-precomputed calls inside its event loop measured no faster.  The tests hold
-_call_extent to bdfs over tree.adj, call by call, and run_single and
-run_adaptive to a call-by-call master loop.
+hands every stretch of calls that no budget update can reach to _tiled_run
+as one job list at the current budget, and makes the other calls one at a
+time (_call_extent, repeated extent jumps, O(restarts) per call), since
+the budget depends on the list size the loop has reached: a pinned LIFO
+run only about log(b0 / 2) / log(scale_factor) + 1 of them from an
+initial budget b0, FIFO and unpinned runs every call before the budget
+pins.  run_single is run_adaptive at marks (0, inf), which hand the root
+job to _tiled_run at the first pressure check.  simulate_parallel
+computes each job's call inline in its event loop, whose busy workers are
+plain int heap keys: about 0.6 us a job at (b, W) = (500, 8) and (50, 2)
+on 10^5-5*10^5-node ternary_uniform trees (2-core x86_64 VM, Python
+3.11).  A simulator that replayed precomputed calls measured no faster.
+The tests hold _call_extent to bdfs over tree.adj, call by call,
+run_single and run_adaptive to a call-by-call master loop, and
+simulate_parallel to an event loop in exact rational time.
 
 simulate_parallel replays the same job stream under W workers with a fixed
 per-job start cost, at job granularity: node-level interleaving cannot change
@@ -35,9 +41,8 @@ simulate CSVs are formatted by the CLI.  SearchStats keeps the list size and
 budget of every call as read-only int64 arrays, 16 bytes a call, since a run
 at b = 2 makes about 0.6 calls a node; a tiled run holds its starts,
 extents, ends and roots in int32 and peaks at about 20 bytes a call under
-LIFO and 25 under FIFO (tracemalloc, b = 2, on 10^5-10^6-node
-ternary_uniform trees).  Budgets are saturated at sys.maxsize, which an
-int64 holds.
+either policy (tracemalloc, b = 2, on 10^5-10^6-node ternary_uniform
+trees).  Budgets are saturated at sys.maxsize, which an int64 holds.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import numpy as np
 
 from ._checks import require_count
 from .gwtree import PreorderTree
+from .offspring import DRAW_BLOCK
 
 POLICIES = ("lifo", "fifo")
 
@@ -165,17 +171,20 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     roots[cut] = q[at + b] - q[at] + 1
     del cut, at
     ends += starts
-    # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
     if policy == "fifo":  # job subtrees enclosing the start, plus the offset
-        generation = np.arange(starts.size, dtype=np.int32)
+        keys = np.arange(starts.size, dtype=np.int32)
         ends.sort()
-        generation -= np.searchsorted(ends, starts, side="right")
-        generation[:np.searchsorted(starts, jobs[0])] += 1
-        order = np.argsort(generation, kind="stable")
+        for lo in range(0, starts.size, DRAW_BLOCK):  # no int64 array of every call
+            block = slice(lo, lo + DRAW_BLOCK)
+            keys[block] -= np.searchsorted(ends, starts[block], side="right")
+        # an int32 needle: a Python int would cast the starts to int64
+        keys[:np.searchsorted(starts, np.int32(jobs[0]))] += 1
     else:
-        np.negative(ends, out=ends)
-        order = np.argsort(ends, kind="stable")
+        keys = np.negative(ends, out=ends)
     del starts, chased, ends
+    # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
+    order = np.argsort(keys, kind="stable")
+    del keys
     pushed = roots[order]
     del roots, order
     sizes = np.empty(pushed.size, dtype=np.int64)
@@ -207,12 +216,19 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     starts there).  Marks (0, inf) are run_single.  The budget used by each
     call is reported in SearchStats.budgets.
 
-    The loop makes one call at a time until no update can fire again: the
-    list never holds more than n jobs, so with high_mark >= n the budget
-    stops moving once low_mark <= 1 (the pressure is at least 1) or once it
-    has reached 2 (the floored divide's fixed point).  From that pressure
-    check on, the rest of the run is a fixed-budget run from the current job
-    list, read off the block tiling (_tiled_run).
+    The list never holds more than n jobs, so with high_mark >= n the run is
+    pinned: no multiply can fire, and a stretch of calls that no divide can
+    reach runs at a fixed budget, read off the block tiling (_tiled_run):
+    * at budget 2 (the floored divide's fixed point), or with low_mark <= 1
+      (the pressure is at least 1), the whole pending list;
+    * under LIFO, once the pressure is at least low_mark, the jobs from
+      stack index ceil(low_mark) - 1 up: every call in the subtree of the
+      job at index i sees a pressure of at least i + 1.  The calls of that
+      stretch see the jobs kept below on top of the tile's own list sizes.
+    Every other call is made one at a time (_call_extent).  A pinned LIFO
+    run makes such a call only below low_mark, where each divides the
+    budget, so about log(initial_budget / 2) / log(scale_factor) + 1 of
+    them; FIFO and unpinned runs make every call before the pin that way.
     """
     require_count("budget", initial_budget)
     if not scale_factor > 1:  # also rejects NaN
@@ -224,35 +240,51 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     budget = min(int(initial_budget), sys.maxsize)
     jobs, pop = _job_list(policy)
     restarts = evaluations = 0
-    sizes = array("q")  # the calls made one at a time
-    budgets = array("q")
-    tail = np.empty(0, dtype=np.int64)  # list sizes of the tiled rest of the run
+    pieces = []  # the list sizes, in call order
+    sizes = array("q")  # those of the calls made one at a time since the last tile
+    values, counts = array("q", [budget]), array("q", [0])  # budgets, run-length coded
     while jobs:
         pressure = len(jobs)
         if pressure < low_mark:
             budget = max(2, math.floor(budget / scale_factor))
         elif pressure > high_mark:
             budget = math.floor(min(budget * scale_factor, sys.maxsize))
+        if budget != values[-1]:
+            values.append(budget)
+            counts.append(0)
         if pinned and (budget == 2 or low_mark <= 1):
-            tail_restarts, tail_evaluations, tail = _tiled_run(tree, budget, jobs, policy)
-            restarts += tail_restarts
-            evaluations += tail_evaluations
-            break
-        sizes.append(pressure - 1)
-        budgets.append(budget)
-        generated, unexplored = _call_extent(ext, pop(), budget)
-        evaluations += generated
-        restarts += len(unexplored)
-        jobs.extend(unexplored)
-    list_sizes = np.concatenate((sizes, tail))
-    del sizes, tail
-    # the tail ran at the final budget; the calls made one at a time differ
-    all_budgets = np.full(list_sizes.size, budget, dtype=np.int64)
-    all_budgets[:len(budgets)] = budgets
-    list_sizes.flags.writeable = all_budgets.flags.writeable = False
+            keep = 0
+        elif pinned and policy == "lifo" and pressure >= low_mark:
+            keep = math.ceil(low_mark) - 1
+        else:
+            sizes.append(pressure - 1)
+            counts[-1] += 1
+            generated, unexplored = _call_extent(ext, pop(), budget)
+            evaluations += generated
+            restarts += len(unexplored)
+            jobs.extend(unexplored)
+            continue
+        tile = [jobs.pop() for _ in range(pressure - keep)][::-1]  # the top, in list order
+        tile_restarts, tile_evaluations, tile_sizes = _tiled_run(tree, budget, tile, policy)
+        restarts += tile_restarts
+        evaluations += tile_evaluations
+        tile_sizes += keep
+        counts[-1] += tile_sizes.size
+        if sizes:
+            pieces.append(np.frombuffer(sizes, dtype=np.int64))
+            sizes = array("q")
+        pieces.append(tile_sizes)
+        del tile_sizes  # held by pieces alone, so the join below frees it
+    if sizes:
+        pieces.append(np.frombuffer(sizes, dtype=np.int64))
+    list_sizes = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    del pieces, sizes
+    budgets = np.repeat(np.frombuffer(values, dtype=np.int64),
+                        np.frombuffer(counts, dtype=np.int64))
+    list_sizes.flags.writeable = budgets.flags.writeable = False
     return SearchStats(n=tree.n, policy=policy, restarts=restarts,
                        calls=list_sizes.size, evaluations=evaluations,
-                       list_sizes=list_sizes, budgets=all_budgets)
+                       list_sizes=list_sizes, budgets=budgets)
 
 
 def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
@@ -290,28 +322,51 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
         p, q = restart_cost.as_integer_ratio()
     ext = memoryview(tree.extent)
     jobs, pop = _job_list(policy)
+    push, heappush, heappop = jobs.extend, heapq.heappush, heapq.heappop
     # A run has at most n jobs and the lowest idle index always goes first,
-    # so workers n, n+1, ... never start one: leave them out of the heap.
-    idle = list(range(min(workers, tree.n)))  # ascending, hence a heap
-    busy = []  # (finish key, worker index, units, starts, nodes to push)
-    now = units = starts = 0
+    # so workers n, n+1, ... never start one: only lanes 0 .. lanes-1 work.
+    budget, lanes = int(budget), min(int(workers), tree.n)  # keys stay Python ints
+    idle = list(range(lanes))  # ascending, hence a heap
+    # A busy lane w is the int key * lanes + w in the heap, which orders as
+    # (key, w); a job started at key K that generates g nodes ends at key
+    # K + g * q + p.  The starts behind each lane and the roots it will push
+    # wait in per-lane lists.
+    busy = []
+    unit_step, start_step = q * lanes, p * lanes
+    lane_starts, lane_roots = [0] * lanes, [()] * lanes
+    at = starts = 0  # the key * lanes, and the starts, of the latest event
     started = restarts = evaluations = 0
     while True:
         while jobs and idle:
-            w = heapq.heappop(idle)
-            generated, unexplored = _call_extent(ext, pop(), budget)
+            w = heappop(idle)
+            s = pop()  # the call at s, as _call_extent computes it
+            m = ext[s]
+            if m <= budget:
+                generated, roots = m - 1, ()
+            else:
+                end = s + m
+                r = s + budget
+                roots = []
+                while r < end:
+                    roots.append(r)
+                    r += ext[r]
+                generated = budget - 1 + len(roots)
+                restarts += len(roots)
             started += 1
             evaluations += generated
-            restarts += len(unexplored)
-            u, k = units + generated, starts + 1
-            heapq.heappush(busy, (u * q + k * p, w, u, k, unexplored))
+            lane_starts[w] = starts + 1
+            lane_roots[w] = roots
+            heappush(busy, at + generated * unit_step + start_step + w)
         if not busy:
             break
-        now, _, units, starts, _ = busy[0]
-        while busy and busy[0][0] == now:
-            _, w, _, _, unexplored = heapq.heappop(busy)
-            jobs.extend(unexplored)
-            heapq.heappush(idle, w)
+        w = busy[0] % lanes
+        at = busy[0] - w
+        starts = lane_starts[w]
+        while busy and busy[0] < at + lanes:  # every event at this key
+            w = heappop(busy) - at
+            push(lane_roots[w])
+            heappush(idle, w)
+    units = (at // lanes - starts * p) // q  # the latest event's, from its key
     makespan = units + starts * cost
     overhead = cost * started
     idle_time = (workers * units - evaluations

@@ -15,9 +15,11 @@ samples):
   word starts and ends, then the int32 degrees and Q; bound 28.
 * mu_mc: its int32 sums, 4 bytes a sample; bound 10.
 * run_single and run_adaptive at b = 2 (about 0.6 calls a node): the int32
-  starts, extents, ends and roots, an int64 pop order, then the int64 list
-  sizes and budgets, which the result keeps; bounds 48 at peak and 17 kept
-  (Python lists of Python ints took 75-89 and 18-39).
+  starts, ends and roots, the int32 sort keys (FIFO's generations take
+  their searchsorted one DRAW_BLOCK slice at a time), an int64 pop order,
+  then the int64 list sizes and budgets, which the result keeps; bounds 24
+  at peak and 17 kept (Python lists of Python ints took 75-89 and 18-39;
+  FIFO peaked at 25 with an int64 searchsorted of every call).
 
 The seeds are those in 0..3 whose trees come nearest 2*10^5 nodes.
 
@@ -94,5 +96,5 @@ def test_scheduler_peak_bytes_per_call():
                 lambda: scheduler.run_adaptive(tree, 500, tree.n, math.inf, 2)):
         stats, peak, kept = traced(run)
         assert stats.calls > tree.n / 2
-        assert peak / stats.calls <= 48
+        assert peak / stats.calls <= 24
         assert kept / stats.calls <= 17

@@ -134,10 +134,18 @@ def test_adaptive_tail_matches_reference_loop(degrees, budget, low_mark,
 @given(degrees=tree_degrees, budget=st.integers(1, 40),
        low_mark=st.floats(0, 12), spread=st.integers(1, 90) | st.just(math.inf),
        scale_factor=st.floats(1.01, 8), policy=st.sampled_from(["lifo", "fifo"]))
+# on this 9-node tree the pinned LIFO run tiles, calls, tiles and calls
+@example(degrees=[2, 2, 0, 0, 3, 1, 0, 0, 0], budget=13, low_mark=3.0, spread=6,
+         scale_factor=2.0, policy="lifo")  # high_mark = n: pinned
+@example(degrees=[2, 2, 0, 0, 3, 1, 0, 0, 0], budget=13, low_mark=3.0, spread=5,
+         scale_factor=2.0, policy="lifo")  # high_mark = n - 1: not pinned
+@example(degrees=[2, 2, 0, 0, 3, 1, 0, 0, 0], budget=13, low_mark=3.0, spread=6,
+         scale_factor=2.0, policy="fifo")
 @settings(max_examples=150, deadline=None)
 def test_adaptive_matches_reference_loop(degrees, budget, low_mark, spread,
                                          scale_factor, policy):
-    # a finite high mark below n keeps the whole run call by call
+    # a high mark below n keeps the whole run call by call; one of at least
+    # n pins it, and tiles what no divide can reach
     tree = PreorderTree(degrees)
     args = (tree, budget, low_mark, low_mark + spread, scale_factor, policy)
     assert run_adaptive(*args) == reference_loop(*args)
@@ -170,6 +178,27 @@ def test_adaptive_tail_with_two_fifo_generations(monkeypatch):
     [(budget, jobs)] = handed
     assert budget == 2
     assert any(later < earlier for earlier, later in zip(jobs, jobs[1:]))
+
+
+def test_pinned_lifo_run_tiles_above_the_low_mark(monkeypatch):
+    # the jobs from stack index 7 up see a pressure of at least 8, so only
+    # the calls below the low mark, each of which divides the budget, are
+    # made one at a time: at most one per budget 250, 125, ..., 3
+    tree, _ = sample_at_least(parse_spec("ternary_uniform"), 10**5, seed=0,
+                              cap=5 * 10**5)
+    single = []
+
+    def spy(ext, s, budget):
+        single.append(budget)
+        return call_extent(ext, s, budget)
+
+    call_extent = scheduler._call_extent
+    monkeypatch.setattr(scheduler, "_call_extent", spy)
+    args = (tree, 500, 8, math.inf, 2, "lifo")
+    stats = run_adaptive(*args)
+    assert stats.calls > 1000
+    assert len(single) <= math.ceil(math.log2(250)) + 2
+    assert stats == reference_loop(*args)
 
 
 TALL = 100_000

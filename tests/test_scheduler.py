@@ -5,16 +5,19 @@ import heapq
 import math
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwsearch import scheduler
 from gwsearch.bdfs import bdfs
 from gwsearch.gwtree import PreorderTree, sample_at_least
 from gwsearch.offspring import parse_spec
 from gwsearch.scheduler import run_adaptive, run_single, simulate_parallel
+from test_properties import close_to_tree
 
 
 def test_run_single_fixture(tree25):
@@ -266,10 +269,15 @@ def test_policies_tuple():
     assert scheduler.POLICIES == ("lifo", "fifo")
 
 
-def exact_replay(tree, budget, workers, cost):
-    """simulate_parallel's event loop in Fraction time, summed along chains."""
+def exact_replay(tree, budget, workers, cost, policy):
+    """simulate_parallel's event loop in Fraction time, summed along chains.
+
+    Returns the exact makespan, the jobs started and the exact idle time:
+    the workers' time less the evaluations and the starts' costs.
+    """
     ext = memoryview(tree.extent)
-    jobs = [0]
+    jobs = deque([0])
+    pop = jobs.pop if policy == "lifo" else jobs.popleft
     idle = list(range(workers))
     busy = []  # (finish time, worker, nodes to push)
     now = Fraction(0)
@@ -277,11 +285,11 @@ def exact_replay(tree, budget, workers, cost):
     while True:
         while jobs and idle:
             w = heapq.heappop(idle)
-            generated, unexplored = scheduler._call_extent(ext, jobs.pop(), budget)
+            generated, unexplored = scheduler._call_extent(ext, pop(), budget)
             started += 1
             heapq.heappush(busy, (now + cost + generated, w, unexplored))
         if not busy:
-            return now, started
+            return now, started, workers * now - (tree.n - 1) - started * cost
         now = busy[0][0]
         while busy and busy[0][0] == now:
             _, w, unexplored = heapq.heappop(busy)
@@ -299,7 +307,8 @@ def test_simulate_exact_rational_costs():
                 # floats are taken at their exact binary value
                 for cost in (Fraction(1, 3), Fraction(2, 7), Fraction(5, 3),
                              Fraction(1, 10), 1 / 3, 0.1):
-                    makespan, jobs = exact_replay(tree, budget, workers, Fraction(cost))
+                    makespan, jobs, _ = exact_replay(tree, budget, workers,
+                                                     Fraction(cost), "lifo")
                     report = simulate_parallel(tree, budget, workers, restart_cost=cost)
                     configs += 1
                     # a split or merged tie moves the makespan by far more
@@ -308,6 +317,26 @@ def test_simulate_exact_rational_costs():
                         report.makespan, makespan, rel_tol=1e-12))
                     assert report.restart_cost == float(cost)
     assert (configs, mismatches) == (108, 0)
+
+
+# a bushy root over draws of mean 1: chains of many calls, whose events tie
+# often enough at small budgets for a changed tie order to move the makespan
+chained_trees = st.tuples(st.integers(2, 5), st.lists(st.integers(0, 2), min_size=100,
+                                                       max_size=400)).map(
+    lambda draws: close_to_tree([draws[0], *draws[1]]))
+
+
+@given(degrees=chained_trees, budget=st.integers(1, 12), workers=st.integers(1, 6),
+       cost=st.integers(0, 5) | st.builds(Fraction, st.integers(0, 40),
+                                          st.sampled_from([2, 4, 8])),
+       policy=st.sampled_from(scheduler.POLICIES))
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_exact_replay(degrees, budget, workers, cost, policy):
+    # dyadic costs keep the reported float times exact
+    tree = PreorderTree(degrees)
+    makespan, jobs, idle_time = exact_replay(tree, budget, workers, Fraction(cost), policy)
+    report = simulate_parallel(tree, budget, workers, restart_cost=cost, policy=policy)
+    assert (report.jobs, report.makespan, report.idle_time) == (jobs, makespan, idle_time)
 
 
 def test_simulate_cost_types_agree(tree25):
