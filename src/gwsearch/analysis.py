@@ -52,17 +52,12 @@ _ENUMERATION_LIMIT = 12
 class SizeLaw:
     """P{N = t} for t = 1..t_max plus the remaining tail P{N > t_max}.
 
-    pmf[t] indexes by size (pmf[0] is unused and zero); entries are floats
-    or Fractions depending on which path produced them.
+    pmf[t] indexes by size, t_max = len(pmf) - 1 (pmf[0] is unused and zero);
+    entries are floats or Fractions depending on which path produced them.
     """
 
-    t_max: int
     pmf: tuple
     tail: object
-
-    def __post_init__(self):
-        if len(self.pmf) != self.t_max + 1:
-            raise ValueError("pmf must have t_max + 1 entries (index 0 unused)")
 
 
 @dataclass(frozen=True)
@@ -135,14 +130,14 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     are exactly 0.0 and none is negative.  size_pmf_rational is its exact
     oracle.
     """
-    require_count("t_max", t_max)
+    t_max = require_count("t_max", t_max)
     if t_max > DP_LIMIT:
         raise ValueError(
             f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
             "use mu_analytic or mu_mc at that scale")
     pmf = tuple(_progeny_series(dist.pmf, t_max + 1, dist.span).tolist())
     tail = 1.0 - math.fsum(pmf)
-    return SizeLaw(t_max=t_max, pmf=pmf, tail=tail)
+    return SizeLaw(pmf=pmf, tail=tail)
 
 
 def _progeny_series(p, n, span):
@@ -215,7 +210,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     Runs in integers over a common denominator; builtins with rational pmfs
     only, t_max <= 512.  The oracle for size_pmf_exact.
     """
-    require_count("t_max", t_max)
+    t_max = require_count("t_max", t_max)
     if t_max > _RATIONAL_DP_LIMIT:
         raise ValueError(f"rational path capped at t_max = {_RATIONAL_DP_LIMIT}")
     p = rational_pmf(dist)
@@ -235,12 +230,12 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
         conv = nxt
         pmf[t] = Fraction(conv[t - 1], t * q ** t)
     tail = 1 - sum(pmf)
-    return SizeLaw(t_max=t_max, pmf=tuple(pmf), tail=tail)
+    return SizeLaw(pmf=tuple(pmf), tail=tail)
 
 
 def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
     """E min(N, b) from the exact size law: sum_{t<=b} t P{N=t} + b P{N>b}."""
-    require_count("budget", budget)
+    budget = require_count("budget", budget)
     law = size_pmf_exact(dist, budget)
     value = math.fsum(t * law.pmf[t] for t in range(1, budget + 1)) + budget * law.tail
     return MuEstimate(value=value, method="exact-dp")
@@ -256,8 +251,8 @@ def mu_mc(dist: OffspringDistribution, budget: int, samples: int = 1_000_000,
     square are exact Python ints, so the mean is correctly rounded at any
     sample count.
     """
-    require_count("budget", budget)
-    require_count("samples", samples)  # it feeds range
+    budget = require_count("budget", budget)
+    samples = require_count("samples", samples)
     rng = generator(seed)
     total = total_sq = 0
     for start in range(0, samples, _MC_CHUNK):
@@ -312,7 +307,7 @@ def _min_size_batch(dist, budget, m, rng):
 
 def size_pmf_asymptotic(dist: OffspringDistribution, n: int) -> float:
     """Local limit d / (sigma sqrt(2 pi) n^(3/2)); only sizes 1 mod d exist."""
-    require_count("n", n)
+    n = require_count("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(f"P{{N={n}}} = 0: sizes are 1 mod {dist.span}")
     return dist.span / (dist.sigma * math.sqrt(2.0 * math.pi) * n ** 1.5)
@@ -335,8 +330,9 @@ def theorem1_check(restarts: int, n: int, dist: OffspringDistribution, budget: i
     """
     if mu_method != "exact":
         raise ValueError("mu_method must be 'exact'; mu_mc is the Monte Carlo route")
-    require_count("restarts", restarts, low=0)
-    require_count("n", n)
+    restarts = require_count("restarts", restarts, low=0)
+    n = require_count("n", n)
+    budget = require_count("budget", budget)
     est = mu_exact(dist, budget)
     sigma = dist.sigma
     return Theorem1Report(
@@ -359,7 +355,7 @@ def enumerate_small_trees(dist: OffspringDistribution, n_max: int) -> SizeLaw:
     if not 1 <= n_max <= _ENUMERATION_LIMIT:
         raise ValueError(f"n_max must be in 1..{_ENUMERATION_LIMIT} "
                          "(tree count grows like 4^n)")
-    require_integer("n_max", n_max)
+    n_max = require_integer("n_max", n_max)
     p = rational_pmf(dist)
     if p is None:
         p = [float(x) for x in dist.pmf]
@@ -381,5 +377,5 @@ def enumerate_small_trees(dist: OffspringDistribution, n_max: int) -> SizeLaw:
 
     grow(0, 1, one)
     tail = one - sum(totals)
-    return SizeLaw(t_max=n_max, pmf=tuple(totals), tail=tail)
+    return SizeLaw(pmf=tuple(totals), tail=tail)
 

@@ -61,8 +61,8 @@ def bdfs(oracle, start, max_degree: int, budget: int) -> BudgetedSearchOutput:
     pair popped on backtrack resumes the parent's child scan where it left
     off.  A None child advances j without pushing, counting, or outputting.
     """
-    require_count("budget", budget)
-    require_count("max_degree", max_degree)
+    budget = require_count("budget", budget)
+    max_degree = require_count("max_degree", max_degree)
     records = []
     stack_v = []
     stack_j = []

@@ -78,9 +78,9 @@ MAX_NODES = 2**31 - 1  # Q and extents are stored as int32
 FIRST_CHUNK = 32  # draws in the first chunk of every sampling attempt
 
 
-def _check_size(name: str, value) -> None:
+def _check_size(name: str, value) -> int:
     """A node count: an integer in [1, MAX_NODES], checked before any draw."""
-    require_count(name, value, high=MAX_NODES, high_name="MAX_NODES")
+    return require_count(name, value, high=MAX_NODES, high_name="MAX_NODES")
 
 
 class PreorderTree:
@@ -175,8 +175,8 @@ class PreorderTree:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         if not j >= 1:  # also rejects NaN
             raise ValueError("child index j starts at 1")
-        require_integer("vertex", v)
-        require_integer("child index j", j)
+        v = require_integer("vertex", v)
+        j = require_integer("child index j", j)
         if j > self.degrees[v]:
             return None
         ext = self.extent
@@ -233,7 +233,7 @@ def sample_unconditional(dist: OffspringDistribution, seed=None, cap: int = 1_00
     count returns to zero.  Chunked and vectorized; the draw sequence (hence
     the tree) depends only on the seed, not on chunk boundaries.
     """
-    _check_size("cap", cap)
+    cap = _check_size("cap", cap)
     rng = generator(seed)
     got = _grow(lambda m: dist.draw(rng, m), cap)
     return got if isinstance(got, Overflow) else _tree(got)
@@ -326,17 +326,17 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
     Trees, attempt counts and the generator's final position equal those of
     growing every attempt by _grow from dist.draw.
     """
-    _check_size("n_min", n_min)
+    n_min = _check_size("n_min", n_min)
     if cap is None:
         cap = min(100 * n_min, MAX_NODES)
     if not cap >= n_min:
         raise ValueError("cap must be >= n_min")
-    _check_size("cap", cap)
+    cap = _check_size("cap", cap)
     if max_attempts is not None:
-        require_count("max_attempts", max_attempts)
+        max_attempts = require_count("max_attempts", max_attempts)
     reader = _ReadAhead(dist, generator(seed))
     first = min(FIRST_CHUNK, cap)  # the first chunk of every attempt
-    small = int(min(first, n_min - 1))  # an attempt closing at these nodes fails
+    small = min(first, n_min - 1)  # an attempt closing at these nodes fails
     limit = math.inf if max_attempts is None else max_attempts
     attempts = 0
     try:
@@ -370,12 +370,12 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     positive before step n (cycle lemma), and it maps i.i.d. draws to exactly
     the conditional Galton-Watson law.  Expected rejections grow like sqrt(n)/d.
     """
-    _check_size("n", n)
+    n = _check_size("n", n)
     if (n - 1) % dist.span != 0:
         raise ValueError(
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
     if max_attempts is not None:
-        require_count("max_attempts", max_attempts)
+        max_attempts = require_count("max_attempts", max_attempts)
     rng = generator(seed)
     target = n - 1
     attempts = 0

@@ -26,11 +26,12 @@ The span d = gcd{i > 0 : p_i > 0} controls which tree sizes are reachable
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from ._checks import require_count, require_integer
 
 # Unbounded laws are documented as truncated at tail mass < 1e-12; the actual
 # cutoff sits a decade inside that bound because at the minimal truncation the
@@ -254,9 +255,8 @@ def make_builtin(name: str, param: int | None = None) -> OffspringDistribution:
     if not needs_param and param is not None:
         raise ValueError(f"builtin {key!r} takes no parameter")
     if param is not None:
-        if not isinstance(param, numbers.Integral) or param < 0:
-            raise ValueError(f"parameter must be a non-negative integer, got {param!r}")
-        param = int(param)
+        param = require_integer("parameter", param)  # first: a str would not compare
+        require_count("parameter", param, low=0)
     tol = _CRIT_TOL_TRUNCATED if truncated else _CRIT_TOL_EXACT
     return _finalize(recipe(param), key, param, assert_critical=True, crit_tol=tol)
 

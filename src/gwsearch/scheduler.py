@@ -230,14 +230,14 @@ def run_adaptive(tree: PreorderTree, initial_budget: int, low_mark: float,
     budget, so about log(initial_budget / 2) / log(scale_factor) + 1 of
     them; FIFO and unpinned runs make every call before the pin that way.
     """
-    require_count("budget", initial_budget)
+    initial_budget = require_count("budget", initial_budget)
     if not scale_factor > 1:  # also rejects NaN
         raise ValueError("scale_factor must be > 1")
     if not 0 <= low_mark < high_mark:
         raise ValueError("need 0 <= low_mark < high_mark")
     ext = memoryview(tree.extent)
     pinned = high_mark >= tree.n  # no multiply can fire
-    budget = min(int(initial_budget), sys.maxsize)
+    budget = min(initial_budget, sys.maxsize)
     jobs, pop = _job_list(policy)
     restarts = evaluations = 0
     pieces = []  # the list sizes, in call order
@@ -300,10 +300,14 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     workers that never receive a job; speedup compares against the n - 1
     units a single uninterrupted traversal would need.
     """
-    require_count("budget", budget)
-    require_count("workers", workers)  # it feeds range
+    budget = require_count("budget", budget)
+    workers = require_count("workers", workers)
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
+    if isinstance(restart_cost, numbers.Integral):
+        restart_cost = int(restart_cost)
+    elif isinstance(restart_cost, float):  # a numpy float64 would overflow with a warning
+        restart_cost = float(restart_cost)
     # no event ends after horizon, and idle_time is at most workers * horizon
     horizon = tree.n - 1 + tree.n * restart_cost
     if horizon > sys.float_info.max or workers > sys.float_info.max / max(horizon, 1):
@@ -315,17 +319,14 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     # arithmetic tie whatever the cost.  Reported times are computed afresh
     # from units and starts in floats (ints for an integral cost), which
     # keeps the makespan within evaluations + restart_overhead.
-    if isinstance(restart_cost, numbers.Integral):
-        cost, p, q = restart_cost, int(restart_cost), 1
-    else:
-        cost = float(restart_cost)
-        p, q = restart_cost.as_integer_ratio()
+    cost = restart_cost if isinstance(restart_cost, int) else float(restart_cost)
+    p, q = restart_cost.as_integer_ratio()
     ext = memoryview(tree.extent)
     jobs, pop = _job_list(policy)
     push, heappush, heappop = jobs.extend, heapq.heappush, heapq.heappop
     # A run has at most n jobs and the lowest idle index always goes first,
     # so workers n, n+1, ... never start one: only lanes 0 .. lanes-1 work.
-    budget, lanes = int(budget), min(int(workers), tree.n)  # keys stay Python ints
+    lanes = min(workers, tree.n)
     idle = list(range(lanes))  # ascending, hence a heap
     # A busy lane w is the int key * lanes + w in the heap, which orders as
     # (key, w); a job started at key K that generates g nodes ends at key

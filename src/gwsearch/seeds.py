@@ -32,12 +32,11 @@ def generator(seed=None) -> np.random.Generator:
 
 def substream(master: int, index: int) -> int:
     """64-bit seed for substream ``index`` >= 0 of ``master``, 0 <= master < 2^64."""
-    require_integer("seed", master)  # first, as in generator()
+    master = require_integer("seed", master)  # first, as in generator()
     if not 0 <= master <= _MASK:
         raise ValueError("seed must be in [0, 2**64)")
-    require_count("index", index, low=0)
-    # numpy integers would overflow in the 64-bit products below
-    z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK
+    index = require_count("index", index, low=0)
+    z = (master + (index + 1) * _GOLDEN) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)

@@ -294,8 +294,8 @@ def run_acceptance(level: str = "fast", seed=None):
     if seed is None:
         # not secrets.randbits: importing secrets here would load hashlib and
         # OpenSSL (about 4 MB of RSS) on every import of gwsearch
-        seed = int(generator().integers(2 ** 63))
-    require_integer("seed", seed)  # a Generator would print no seed to replay
+        seed = generator().integers(2 ** 63)
+    seed = require_integer("seed", seed)  # a Generator would print no seed to replay
     generator(seed)  # the seed rule, checked before any check runs
     results = []
     for number, name, tier, check in _CHECKS:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gwsearch import analysis, offspring
-from gwsearch.analysis import (DP_LIMIT, SizeLaw, enumerate_small_trees,
+from gwsearch.analysis import (DP_LIMIT, enumerate_small_trees,
                                mu_analytic, mu_exact, mu_mc, rational_pmf,
                                size_pmf_asymptotic, size_pmf_exact,
                                size_pmf_rational, tail_asymptotic,
@@ -147,11 +147,6 @@ def test_size_pmf_resource_limits():
         size_pmf_rational(CATALAN, 513)
     with pytest.raises(ValueError, match="no exact rational pmf"):
         size_pmf_rational(offspring.make_builtin("geometric"), 5)
-
-
-def test_size_law_shape_guard():
-    with pytest.raises(ValueError, match="t_max \\+ 1 entries"):
-        SizeLaw(t_max=2, pmf=(0.0, 0.5), tail=0.5)
 
 
 def test_rational_pmf_coverage():

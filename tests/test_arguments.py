@@ -123,6 +123,23 @@ def test_numpy_integer_sizes_and_budgets_accepted(tree25):
         got, _ = gwtree.sample_exact(CAT, kind(25), 0, max_attempts=kind(99))
         want, _ = gwtree.sample_exact(CAT, 25, 0, max_attempts=99)
         assert np.array_equal(got.degrees, want.degrees)
+    # values that a numpy integer's own arithmetic would wrap
+    big = 10 ** 18
+    got = scheduler.simulate_parallel(tree25, 5, np.int64(big))
+    assert got == scheduler.simulate_parallel(tree25, 5, big)
+    assert got.idle_time == 17999999999999999976
+    got = scheduler.simulate_parallel(tree25, 1, 1, restart_cost=np.int64(big))
+    assert got == scheduler.simulate_parallel(tree25, 1, 1, restart_cost=big)
+    assert got.makespan == 25000000000000000024
+    for n_min in (np.int32(25_000_000), 25_000_000):  # the default cap is 100 * n_min
+        with pytest.raises(gwtree.AttemptsExhausted, match="after 1 attempts$"):
+            gwtree.sample_at_least(CAT, n_min, seed=1, max_attempts=1)
+    with pytest.raises(ValueError, match="^workers or restart_cost too large"):
+        scheduler.simulate_parallel(tree25, 1, 1, restart_cost=np.float64(1e308))
+    # results carry Python ints, and floats computed from them
+    assert type(analysis.theorem1_check(np.int32(5), np.int32(25), CAT, 5).n) is int
+    assert type(scheduler.simulate_parallel(tree25, 5, np.int64(2)).workers) is int
+    assert type(analysis.mu_mc(CAT, 5, np.int32(100), seed=1).value) is float
 
 
 def test_numpy_integer_parameters_and_seeds_accepted():
@@ -134,6 +151,10 @@ def test_numpy_integer_parameters_and_seeds_accepted():
         assert analysis.theorem1_check(kind(3), kind(25), CAT, 5) == \
             analysis.theorem1_check(3, 25, CAT, 5)
     assert substream(np.uint64(2 ** 64 - 1), 0) == substream(2 ** 64 - 1, 0)
+    with pytest.raises(ValueError, match="^parameter must be an integer$"):
+        offspring.make_builtin("harmonic", True)
+    with pytest.raises(ValueError, match="^parameter must be >= 0$"):
+        offspring.make_builtin("harmonic", -1)
 
 
 def test_generator_is_the_callers_or_seeded_as_numpy_seeds_it():

@@ -238,6 +238,15 @@ FROZEN_TRACES = {
     ("fifo", 500): "647ae90549af1317805b8b8767abfeb67fc343f4c78aa80e7c5dade455d5f997",
 }
 FROZEN_FIFO_SWEEP = "e7531b5a4d17fec3776cecb9885aefc02681779be550e63cfcedaf05a09edb7b"
+# simulate --out at --budget 50, keyed by (policy, workers, restart cost)
+FROZEN_SIMULATIONS = {
+    ("lifo", 8, "5"): "7de6fb2b336e3f1efee69152ce084c961ba2d556528ccf27419bba3c4c2563e9",
+    ("lifo", 3, "1/3"): "09aeeb4164df50df7b567b7357e7afab84ec1f38c3d1bd962e0e5afe3a6180f8",
+    ("lifo", 2, "0.1"): "26785a827891be1c2c821afb2d3e3dc2a1348e2c05fa5a3faa262b8d011f2f15",
+    ("fifo", 8, "5"): "5cc4ebd187997c9c4cdb43c807f07d3a9796c0099244f647e8e1a6dbdc1f6d22",
+    ("fifo", 3, "1/3"): "ab2917f57a9b53a5ec40ae0e4a212b5d72b137a7618d4c07f97c4f2529a51c7d",
+    ("fifo", 2, "0.1"): "589a015fae52e7bfd4d4c0ad0d9f376f716395a56cbd0e80b815437cd831030e",
+}
 
 
 def sha256(path):
@@ -255,6 +264,12 @@ def test_frozen_outputs_on_a_sampled_tree(tmp_path, capsys):
         assert run_cli("search", "--tree", str(tree), "--budget", str(budget),
                        "--policy", policy, "--trace", str(trace)) == 0
         assert sha256(trace) == digest, (policy, budget)
+    sim = tmp_path / "sim.csv"
+    for (policy, workers, cost), digest in FROZEN_SIMULATIONS.items():
+        assert run_cli("simulate", "--tree", str(tree), "--budget", "50",
+                       "--workers", str(workers), "--restart-cost", cost,
+                       "--policy", policy, "--out", str(sim)) == 0
+        assert sha256(sim) == digest, (policy, workers, cost)
     sweep = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--dist", "ternary_uniform", "--n-min", "2000",
                    "--budget", "5,50", "--runs", "2", "--seed", "3",
