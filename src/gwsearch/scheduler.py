@@ -14,20 +14,24 @@ explored prefix of a call at s is the slots s+1 .. s+b-1, and what remains
 of the subtree interval is tiled left to right by the unexplored subtrees.
 So the call at s explores exactly the block [s, s + min(b, ext[s])), the
 blocks of a run tile [0, n), and a fixed-budget run is read off that
-tiling (_tiled_run): one chase through the extents finds the starts, and
-both pop orders and their list sizes follow from a sort.  run_adaptive
-hands every stretch of calls that no budget update can reach to _tiled_run
-as one job list at the current budget, and makes the other calls one at a
-time (_call_extent, repeated extent jumps, O(restarts) per call), since
-the budget depends on the list size the loop has reached: a pinned LIFO
-run only about log(b0 / 2) / log(scale_factor) + 1 of them from an
-initial budget b0, FIFO and unpinned runs every call before the budget
-pins.  run_single is run_adaptive at marks (0, inf), which hand the root
-job to _tiled_run at the first pressure check.  simulate_parallel
-computes each job's call inline in its event loop, whose busy workers are
-plain int heap keys: about 0.6 us a job at (b, W) = (500, 8) and (50, 2)
-on 10^5-5*10^5-node ternary_uniform trees (2-core x86_64 VM, Python
-3.11).  A simulator that replayed precomputed calls measured no faster.
+tiling (_tiled_run): a chase through the extents finds the starts, one
+Python step per call, except at b = 2, where a parity rule finds them in
+numpy at about 10 ns a node, and both pop orders and their list sizes
+follow from a sort.  run_adaptive hands every stretch of calls that no
+budget update can reach to _tiled_run as one job list at the current
+budget, and makes the other calls one at a time (_call_extent, repeated
+extent jumps, O(restarts) per call), since the budget depends on the list
+size the loop has reached: a pinned LIFO run only about
+log(b0 / 2) / log(scale_factor) + 1 of them from an initial budget b0,
+FIFO and unpinned runs every call before the budget pins.  run_single is
+run_adaptive at marks (0, inf), which hand the root job to _tiled_run at
+the first pressure check.  simulate_parallel computes each job's call
+inline in its event loop, whose busy workers are plain int heap keys, and
+a worker whose event is alone at its time, with no worker idle, takes the
+next job with one heapreplace: about 0.45-0.6 us a job at (b, W) =
+(500, 8) and (50, 2) on 10^5-5*10^5-node ternary_uniform trees, against
+0.55-0.7 us through the idle heap (2-core x86_64 VM, Python 3.11).  A
+simulator that replayed precomputed calls measured no faster.
 The tests hold _call_extent to bdfs over tree.adj, call by call,
 run_single and run_adaptive to a call-by-call master loop, and
 simulate_parallel to an event loop in exact rational time.
@@ -42,7 +46,8 @@ budget of every call as read-only int64 arrays, 16 bytes a call, since a run
 at b = 2 makes about 0.6 calls a node; a tiled run holds its starts,
 extents, ends and roots in int32 and peaks at about 20 bytes a call under
 either policy (tracemalloc, b = 2, on 10^5-10^6-node ternary_uniform
-trees).  Budgets are saturated at sys.maxsize, which an int64 holds.
+trees; the b = 2 starts are found one DRAW_BLOCK slice at a time).
+Budgets are saturated at sys.maxsize, which an int64 holds.
 """
 
 from __future__ import annotations
@@ -130,6 +135,41 @@ def _call_extent(ext, s: int, b: int):
     return b - 1 + len(out), out
 
 
+def _parity_starts(tree: PreorderTree, jobs):
+    """The starts of a budget-2 run from ascending jobs, as an int32 array.
+
+    The parity rule of _tiled_run, over the jobs' intervals read as one
+    sequence DRAW_BLOCK positions at a time: no temporary holds a position
+    for every node, and no numpy call is made per job.
+    """
+    firsts = np.array(jobs, dtype=np.int64)
+    at = np.zeros(firsts.size + 1, dtype=np.int64)  # each job's offset in the sequence
+    np.cumsum(tree.extent[firsts], out=at[1:])
+    total = int(at[-1])
+    shift = firsts - at[:-1]  # tree position minus sequence offset
+    step = np.arange(DRAW_BLOCK, dtype=np.int32)
+    degrees = tree.degrees
+    pieces = []
+    spill = 0  # 1 when the last call of a slice also explores the next position
+    for lo in range(0, total, DRAW_BLOCK):
+        size = min(DRAW_BLOCK, total - lo)
+        first, last = at.searchsorted(lo, "right") - 1, at.searchsorted(lo + size)
+        widths = np.diff(np.clip(at[first:last + 1], lo, lo + size))
+        pos = np.repeat((shift[first:last] + lo).astype(np.int32), widths)
+        pos += step[:size]
+        # one job's positions are contiguous, and a slice reads faster than a gather
+        leaf = degrees[pos[0]:pos[-1] + 1] if last - first == 1 else degrees[pos]
+        leaf = leaf == 0
+        mark = np.empty(size, dtype=np.int32)  # the latest index after a leaf
+        mark[0] = spill  # or the parity carried over
+        np.multiply(step[1:size], leaf[:-1], out=mark[1:])
+        np.maximum.accumulate(mark, out=mark)
+        keep = (mark ^ step[:size]) & 1 == 0
+        pieces.append(np.compress(keep, pos))
+        spill = int(keep[-1] and not leaf[-1])
+    return np.concatenate(pieces)
+
+
 def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     """(restarts, evaluations, list sizes) of a fixed-budget run from a job list.
 
@@ -141,6 +181,15 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     node of the jobs' subtrees but the jobs is generated once.  A call with
     ext[s] > b returns k = Q[s+b] - Q[s] + 1 roots (s + b, then one per
     level its walk climbs back down).
+    At b = 2 the call at s explores s, and s + 1 too unless s is a leaf.
+    Read the jobs' intervals in order as one sequence: a leaf ends a block
+    whether or not it starts one, so the position after a leaf starts a
+    call, and each call at an internal node covers the next position, so
+    starts alternate along a run of internal nodes.  A position starts a
+    call exactly when its distance to the latest position after a leaf is
+    even.  A job's first position follows the last node of the interval
+    before it, a leaf, so the rule holds across jobs with no case of its
+    own; _parity_starts evaluates it in numpy.
     A LIFO stack ascends, so it pops by subtree end, latest first.  A FIFO
     queue holds at most two generations, each ascending, and the later one
     is exactly the jobs that lie before the head; it pops by generation:
@@ -152,17 +201,21 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     """
     b = min(budget, tree.n)  # larger budgets cut no subtree either
     ext = memoryview(tree.extent)  # indexes to Python ints, unlike numpy
-    chased = array("i")  # C int: int32
-    push = chased.append
-    for s in sorted(jobs):
-        end = s + ext[s]
-        while s < end:  # one step per call: the hot loop of a small budget
-            push(s)
-            e = ext[s]
-            s += b if e > b else e
-    restarts = len(chased) - len(jobs)
+    if b == 2:
+        starts = _parity_starts(tree, sorted(jobs))
+    else:
+        chased = array("i")  # C int: int32
+        push = chased.append
+        for s in sorted(jobs):
+            end = s + ext[s]
+            while s < end:  # one step per call
+                push(s)
+                e = ext[s]
+                s += b if e > b else e
+        starts = np.frombuffer(chased, dtype=np.int32)
+        del chased
+    restarts = starts.size - len(jobs)
     evaluations = sum(ext[s] for s in jobs) - len(jobs)
-    starts = np.frombuffer(chased, dtype=np.int32)
     ends = tree.extent[starts]  # the extents, until the starts are added
     cut = ends > b
     at = starts[cut]
@@ -181,7 +234,7 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
         keys[:np.searchsorted(starts, np.int32(jobs[0]))] += 1
     else:
         keys = np.negative(ends, out=ends)
-    del starts, chased, ends
+    del starts, ends
     # starts ascend, so a stable sort breaks ties by start (LIFO: outermost first)
     order = np.argsort(keys, kind="stable")
     del keys
@@ -293,7 +346,8 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
 
     Each node evaluation takes one time unit and each job start costs
     restart_cost on top: an int, a float, or a fractions.Fraction such as
-    Fraction(1, 3), taken at its exact value.  An idle worker takes the next
+    Fraction(1, 3), taken at its exact value; numpy numbers count as the
+    Python ones of their value, and bools are refused.  An idle worker takes the next
     job the moment the list is nonempty; simultaneous events resolve by
     ascending worker index.
     idle_time counts worker-units spent waiting on an empty list, including
@@ -302,11 +356,13 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     """
     budget = require_count("budget", budget)
     workers = require_count("workers", workers)
+    if isinstance(restart_cost, (bool, np.bool_)):  # not a cost of 1 or 0
+        raise ValueError("restart_cost must be a number, not a bool")
     if not 0 <= restart_cost < math.inf:
         raise ValueError("restart_cost must be >= 0 and finite")
     if isinstance(restart_cost, numbers.Integral):
         restart_cost = int(restart_cost)
-    elif isinstance(restart_cost, float):  # a numpy float64 would overflow with a warning
+    elif isinstance(restart_cost, (float, np.floating)):  # numpy floats overflow, warning
         restart_cost = float(restart_cost)
     # no event ends after horizon, and idle_time is at most workers * horizon
     horizon = tree.n - 1 + tree.n * restart_cost
@@ -323,7 +379,8 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     p, q = restart_cost.as_integer_ratio()
     ext = memoryview(tree.extent)
     jobs, pop = _job_list(policy)
-    push, heappush, heappop = jobs.extend, heapq.heappush, heapq.heappop
+    push, heappush, heappop, heapreplace = (jobs.extend, heapq.heappush, heapq.heappop,
+                                            heapq.heapreplace)
     # A run has at most n jobs and the lowest idle index always goes first,
     # so workers n, n+1, ... never start one: only lanes 0 .. lanes-1 work.
     lanes = min(workers, tree.n)
@@ -333,40 +390,53 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
     # K + g * q + p.  The starts behind each lane and the roots it will push
     # wait in per-lane lists.
     busy = []
+    second, third = lanes > 1, lanes > 2
     unit_step, start_step = q * lanes, p * lanes
     lane_starts, lane_roots = [0] * lanes, [()] * lanes
     at = starts = 0  # the key * lanes, and the starts, of the latest event
     started = restarts = evaluations = 0
     while True:
-        while jobs and idle:
+        if jobs and idle:
             w = heappop(idle)
-            s = pop()  # the call at s, as _call_extent computes it
-            m = ext[s]
-            if m <= budget:
-                generated, roots = m - 1, ()
-            else:
-                end = s + m
-                r = s + budget
-                roots = []
-                while r < end:
-                    roots.append(r)
-                    r += ext[r]
-                generated = budget - 1 + len(roots)
-                restarts += len(roots)
-            started += 1
-            evaluations += generated
-            lane_starts[w] = starts + 1
-            lane_roots[w] = roots
-            heappush(busy, at + generated * unit_step + start_step + w)
-        if not busy:
+            enter = heappush
+        elif not busy:
             break
-        w = busy[0] % lanes
-        at = busy[0] - w
-        starts = lane_starts[w]
-        while busy and busy[0] < at + lanes:  # every event at this key
-            w = heappop(busy) - at
+        else:
+            at = busy[0]
+            w = at % lanes
+            at -= w
+            starts = lane_starts[w]
+            ties = at + lanes
+            # with no lane idle, busy holds every lane, so second and third say
+            # whether busy[1] and busy[2], the candidates for a tie, exist
+            if (idle or not (jobs or lane_roots[w]) or second and busy[1] < ties
+                    or third and busy[2] < ties):
+                while busy and busy[0] < ties:  # every event at this key
+                    w = heappop(busy) - at
+                    push(lane_roots[w])
+                    heappush(idle, w)
+                continue
+            # alone at its time, with no lane idle, the lane takes the next job anyway
             push(lane_roots[w])
-            heappush(idle, w)
+            enter = heapreplace
+        s = pop()  # the call at s, as _call_extent computes it
+        m = ext[s]
+        if m <= budget:
+            generated, roots = m - 1, ()
+        else:
+            end = s + m
+            r = s + budget
+            roots = []
+            while r < end:
+                roots.append(r)
+                r += ext[r]
+            generated = budget - 1 + len(roots)
+            restarts += len(roots)
+        started += 1
+        evaluations += generated
+        lane_starts[w] = starts + 1
+        lane_roots[w] = roots
+        enter(busy, at + generated * unit_step + start_step + w)
     units = (at // lanes - starts * p) // q  # the latest event's, from its key
     makespan = units + starts * cost
     overhead = cost * started

@@ -136,6 +136,12 @@ def test_numpy_integer_sizes_and_budgets_accepted(tree25):
             gwtree.sample_at_least(CAT, n_min, seed=1, max_attempts=1)
     with pytest.raises(ValueError, match="^workers or restart_cost too large"):
         scheduler.simulate_parallel(tree25, 1, 1, restart_cost=np.float64(1e308))
+    for flag in (True, np.True_):  # a bool is no cost, as it is no budget
+        with pytest.raises(ValueError, match="^restart_cost must be a number, not a bool$"):
+            scheduler.simulate_parallel(tree25, 1, 1, restart_cost=flag)
+    got = scheduler.simulate_parallel(tree25, 5, 2, restart_cost=np.float32(0.5))
+    assert got == scheduler.simulate_parallel(tree25, 5, 2, restart_cost=0.5)
+    assert type(got.restart_cost) is float
     # results carry Python ints, and floats computed from them
     assert type(analysis.theorem1_check(np.int32(5), np.int32(25), CAT, 5).n) is int
     assert type(scheduler.simulate_parallel(tree25, 5, np.int64(2)).workers) is int

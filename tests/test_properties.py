@@ -14,7 +14,7 @@ from gwsearch import analysis, scheduler
 from gwsearch.bdfs import bdfs
 from gwsearch.gwtree import (AttemptsExhausted, Overflow, PreorderTree, _grow,
                              _rotation, read_tree, sample_at_least)
-from gwsearch.offspring import parse_spec
+from gwsearch.offspring import DRAW_BLOCK, parse_spec
 from gwsearch.scheduler import (SearchStats, _call_extent, run_adaptive,
                                 run_single, simulate_parallel)
 from gwsearch.seeds import substream
@@ -111,8 +111,45 @@ def test_call_extent_matches_bdfs(degrees, budget):
 @pytest.mark.parametrize("spec", ["ternary_uniform", "harmonic:10", "catalan"])
 def test_block_tiling_on_sampled_trees(spec):
     tree, _ = sample_at_least(parse_spec(spec), 10_000, seed=0, cap=20_000)
-    for budget in (1, 7, 50, 500):
+    for budget in (1, 2, 7, 50, 500):
         check_block_tiling(tree, budget)
+
+
+@pytest.fixture(scope="module")
+def tree70k():
+    """A tree of more than DRAW_BLOCK nodes, in which the budget-2 starts
+    are read one slice at a time.  Seed 6: a budget-2 call at DRAW_BLOCK - 1
+    explores DRAW_BLOCK too, so the first slice's last call reaches into
+    the second."""
+    tree, _ = sample_at_least(parse_spec("ternary_uniform"), 70_000, seed=6, cap=200_000)
+    assert tree.n > DRAW_BLOCK
+    return tree
+
+
+def test_budget_2_tiling_across_draw_blocks(tree70k):
+    # a call at the end of one slice may explore the first position of the next
+    check_block_tiling(tree70k, 2)
+
+
+def test_budget_2_tiling_of_many_jobs(tree70k, monkeypatch):
+    # the jobs' intervals are read as one sequence: a slice spans several
+    tree = tree70k
+    handed = []
+
+    def spy(tree, budget, jobs, policy):
+        handed.append((budget, len(jobs)))
+        return tiled_run(tree, budget, jobs, policy)
+
+    tiled_run = scheduler._tiled_run
+    monkeypatch.setattr(scheduler, "_tiled_run", spy)
+    for policy in ("lifo", "fifo"):
+        # a low mark above every list size: the budget divides at every
+        # call, slowly, and the list it reaches 2 with is tiled in one go
+        args = (tree, 500, tree.n, math.inf, 1.01, policy)
+        handed.clear()
+        assert run_adaptive(*args) == reference_loop(*args)
+        [(budget, jobs)] = handed
+        assert budget == 2 and jobs > 20
 
 
 @given(degrees=bushy_trees, budget=st.integers(1, 40),
@@ -214,7 +251,7 @@ def test_block_tiling_on_tall_trees(shape):
         half = TALL // 2
         degrees = [1] * (half - 1) + [half] + [0] * half
     tree = PreorderTree(degrees)
-    for budget in (1, 50):
+    for budget in (1, 2, 50):
         check_block_tiling(tree, budget)
 
 
