@@ -122,6 +122,16 @@ def rational_pmf(dist: OffspringDistribution) -> list | None:
     return None
 
 
+def _dp_count(name: str, value) -> int:
+    """value as require_count gives it, refused above DP_LIMIT under its own name."""
+    value = require_count(name, value)
+    if value > DP_LIMIT:
+        raise ValueError(
+            f"{name} {value} above the convolution limit {DP_LIMIT}; "
+            "use mu_analytic or mu_mc at that scale")
+    return value
+
+
 def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     """Exact P{N = t} for t <= t_max, the coefficients of T(x) = x f(T(x)).
 
@@ -130,11 +140,7 @@ def size_pmf_exact(dist: OffspringDistribution, t_max: int) -> SizeLaw:
     are exactly 0.0 and none is negative.  size_pmf_rational is its exact
     oracle.
     """
-    t_max = require_count("t_max", t_max)
-    if t_max > DP_LIMIT:
-        raise ValueError(
-            f"t_max {t_max} above the convolution limit {DP_LIMIT}; "
-            "use mu_analytic or mu_mc at that scale")
+    t_max = _dp_count("t_max", t_max)
     pmf = tuple(_progeny_series(dist.pmf, t_max + 1, dist.span).tolist())
     tail = 1.0 - math.fsum(pmf)
     return SizeLaw(pmf=pmf, tail=tail)
@@ -235,7 +241,7 @@ def size_pmf_rational(dist: OffspringDistribution, t_max: int) -> SizeLaw:
 
 def mu_exact(dist: OffspringDistribution, budget: int) -> MuEstimate:
     """E min(N, b) from the exact size law: sum_{t<=b} t P{N=t} + b P{N>b}."""
-    budget = require_count("budget", budget)
+    budget = _dp_count("budget", budget)
     law = size_pmf_exact(dist, budget)
     value = math.fsum(t * law.pmf[t] for t in range(1, budget + 1)) + budget * law.tail
     return MuEstimate(value=value, method="exact-dp")

@@ -128,6 +128,8 @@ def cmd_gen(args) -> int:
     dist = offspring.parse_spec(args.dist)
     if (args.n is None) == (args.n_min is None):
         raise ValueError("exactly one of --n (exact) or --n-min (at least) is required")
+    if args.n is not None and args.cap is not None:
+        raise ValueError("--cap bounds --n-min attempts only; it does not apply with --n")
     if args.n is not None:
         tree, attempts = gwtree.sample_exact(dist, args.n, seed=args.seed,
                                              max_attempts=args.max_attempts)
@@ -224,7 +226,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="tree file; sidecar <out>.meta records n/seed/attempts")
     p.add_argument("--max-attempts", type=int, default=None)
     p.add_argument("--cap", type=int, default=None,
-                   help="abort any single attempt beyond this many nodes")
+                   help="with --n-min: abort any single attempt beyond this many nodes")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("search", help="run the budgeted master loop on a stored tree")

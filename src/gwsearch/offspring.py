@@ -38,9 +38,10 @@ from ._checks import require_count, require_integer
 # geometric variance would sit 1.5e-9 from 2, outside the advertised 1e-9.
 TRUNCATION_TAIL = 1e-13
 
-# |mean - 1| tolerance: exact families vs truncated ones
+# |mean - 1| tolerance: exact families, truncated ones, and custom pmfs
 _CRIT_TOL_EXACT = 1e-12
 _CRIT_TOL_TRUNCATED = 1e-10
+_CRIT_TOL_CUSTOM = 1e-9
 
 # Largest harmonic:D: its pmf builds in under a second, while D = 10^7 takes
 # seconds and 650 MB and then fails the criticality test.
@@ -152,8 +153,12 @@ def _span(pmf: np.ndarray) -> int:
     return d if d > 0 else 1  # no positive support: degenerate single-node law
 
 
-def _finalize(pmf, name, param, *, assert_critical, crit_tol) -> OffspringDistribution:
-    """Shared validation path so custom and builtin pmfs get identical treatment."""
+def _finalize(pmf, name, param, *, assert_critical, crit_tol,
+              remedy="spec strings name critical laws only") -> OffspringDistribution:
+    """Shared validation path so custom and builtin pmfs get identical treatment.
+
+    remedy ends the message for a non-critical law: what the caller can do.
+    """
     arr = np.asarray(pmf, dtype=float)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("pmf must be a non-empty 1-d sequence")
@@ -173,8 +178,7 @@ def _finalize(pmf, name, param, *, assert_critical, crit_tol) -> OffspringDistri
     mean, var = _moments(arr)
     if assert_critical and abs(mean - 1.0) > crit_tol:
         raise ValueError(
-            f"offspring mean is {mean!r}, not critical; pass assert_critical=False "
-            "to allow sub/super-critical laws")
+            f"offspring mean is {mean!r}, not critical; {remedy}")
     arr.flags.writeable = False
     return OffspringDistribution(pmf=arr, mean=mean, variance=var,
                                  span=_span(arr), name=name, param=param)
@@ -187,7 +191,9 @@ def make_custom(pmf, assert_critical: bool = True) -> OffspringDistribution:
     otherwise.  Criticality (|mean - 1| <= 1e-9) is asserted unless
     assert_critical is False.
     """
-    return _finalize(pmf, None, None, assert_critical=assert_critical, crit_tol=1e-9)
+    return _finalize(pmf, None, None, assert_critical=assert_critical,
+                     crit_tol=_CRIT_TOL_CUSTOM,
+                     remedy="pass assert_critical=False to allow sub/super-critical laws")
 
 
 def _truncate(term) -> list[float]:
@@ -278,7 +284,7 @@ def parse_spec(spec: str) -> OffspringDistribution:
             probs = [float(tok) for tok in arg.split(",")]
         except ValueError:
             raise ValueError(f"could not parse custom pmf from {arg!r}") from None
-        return make_custom(probs)
+        return _finalize(probs, None, None, assert_critical=True, crit_tol=_CRIT_TOL_CUSTOM)
     param = None
     if sep:
         arg = arg.strip(" \t\n\r\v\f")  # ASCII whitespace

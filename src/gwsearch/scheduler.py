@@ -16,22 +16,24 @@ So the call at s explores exactly the block [s, s + min(b, ext[s])), the
 blocks of a run tile [0, n), and a fixed-budget run is read off that
 tiling (_tiled_run): a chase through the extents finds the starts, one
 Python step per call, except at b = 2, where a parity rule finds them in
-numpy at about 10 ns a node, and both pop orders and their list sizes
-follow from a sort.  run_adaptive hands every stretch of calls that no
-budget update can reach to _tiled_run as one job list at the current
-budget, and makes the other calls one at a time (_call_extent, repeated
-extent jumps, O(restarts) per call), since the budget depends on the list
-size the loop has reached: a pinned LIFO run only about
-log(b0 / 2) / log(scale_factor) + 1 of them from an initial budget b0,
-FIFO and unpinned runs every call before the budget pins.  run_single is
-run_adaptive at marks (0, inf), which hand the root job to _tiled_run at
-the first pressure check.  simulate_parallel computes each job's call
-inline in its event loop, whose busy workers are plain int heap keys, and
-a worker whose event is alone at its time, with no worker idle, takes the
-next job with one heapreplace: about 0.45-0.6 us a job at (b, W) =
-(500, 8) and (50, 2) on 10^5-5*10^5-node ternary_uniform trees, against
-0.55-0.7 us through the idle heap (2-core x86_64 VM, Python 3.11).  A
-simulator that replayed precomputed calls measured no faster.
+numpy, job by job, at about 10 ns a node; each start's roots are read off
+the open-branch path Q, and both pop orders and their list sizes follow
+from a sort.  run_adaptive hands every stretch of calls that no budget
+update can reach to _tiled_run as one job list at the current budget, and
+makes the other calls one at a time (_call_extent, repeated extent jumps,
+O(restarts) per call), since the budget depends on the list size the loop
+has reached: a pinned LIFO run only about log(b0 / 2) / log(scale_factor)
++ 1 of them from an initial budget b0, FIFO and unpinned runs every call
+before the budget pins.  run_single is run_adaptive at marks (0, inf),
+which hand the root job to _tiled_run at the first pressure check.
+simulate_parallel needs each job's call when the job starts: a job whose
+subtree fits the budget (most jobs) is settled inline, since a function
+call for every job costs 15-25% of the loop, and the others go through
+_call_extent.  Its busy workers are plain int heap keys, and a
+worker whose event is alone at its time, with no worker idle, takes the
+next job with one heapreplace instead of a pass through the idle heap:
+about 0.45-0.6 us a job at (b, W) = (500, 8) and (50, 2) on
+10^5-5*10^5-node ternary_uniform trees (2-core x86_64 VM, Python 3.11).
 The tests hold _call_extent to bdfs over tree.adj, call by call,
 run_single and run_adaptive to a call-by-call master loop, and
 simulate_parallel to an event loop in exact rational time.
@@ -44,9 +46,11 @@ Runs return SearchStats and SimReport and write no files; the search and
 simulate CSVs are formatted by the CLI.  SearchStats keeps the list size and
 budget of every call as read-only int64 arrays, 16 bytes a call, since a run
 at b = 2 makes about 0.6 calls a node; a tiled run holds its starts,
-extents, ends and roots in int32 and peaks at about 20 bytes a call under
-either policy (tracemalloc, b = 2, on 10^5-10^6-node ternary_uniform
-trees; the b = 2 starts are found one DRAW_BLOCK slice at a time).
+extents, ends and roots in int32 and peaks at about 16-17 bytes a call
+under either policy on a 1.3*10^6-node ternary_uniform tree, and at 20-26
+on a 10^5-node one, where its fixed DRAW_BLOCK buffers weigh more
+(tracemalloc, b = 2; the b = 2 starts are found one DRAW_BLOCK slice at
+a time).
 Budgets are saturated at sys.maxsize, which an int64 holds.
 """
 
@@ -138,35 +142,26 @@ def _call_extent(ext, s: int, b: int):
 def _parity_starts(tree: PreorderTree, jobs):
     """The starts of a budget-2 run from ascending jobs, as an int32 array.
 
-    The parity rule of _tiled_run, over the jobs' intervals read as one
-    sequence DRAW_BLOCK positions at a time: no temporary holds a position
-    for every node, and no numpy call is made per job.
+    The parity rule of _tiled_run over each job's interval, DRAW_BLOCK
+    positions at a time: no temporary holds a position for every node.
     """
-    firsts = np.array(jobs, dtype=np.int64)
-    at = np.zeros(firsts.size + 1, dtype=np.int64)  # each job's offset in the sequence
-    np.cumsum(tree.extent[firsts], out=at[1:])
-    total = int(at[-1])
-    shift = firsts - at[:-1]  # tree position minus sequence offset
+    ext = memoryview(tree.extent)
     step = np.arange(DRAW_BLOCK, dtype=np.int32)
     degrees = tree.degrees
     pieces = []
-    spill = 0  # 1 when the last call of a slice also explores the next position
-    for lo in range(0, total, DRAW_BLOCK):
-        size = min(DRAW_BLOCK, total - lo)
-        first, last = at.searchsorted(lo, "right") - 1, at.searchsorted(lo + size)
-        widths = np.diff(np.clip(at[first:last + 1], lo, lo + size))
-        pos = np.repeat((shift[first:last] + lo).astype(np.int32), widths)
-        pos += step[:size]
-        # one job's positions are contiguous, and a slice reads faster than a gather
-        leaf = degrees[pos[0]:pos[-1] + 1] if last - first == 1 else degrees[pos]
-        leaf = leaf == 0
-        mark = np.empty(size, dtype=np.int32)  # the latest index after a leaf
-        mark[0] = spill  # or the parity carried over
-        np.multiply(step[1:size], leaf[:-1], out=mark[1:])
-        np.maximum.accumulate(mark, out=mark)
-        keep = (mark ^ step[:size]) & 1 == 0
-        pieces.append(np.compress(keep, pos))
-        spill = int(keep[-1] and not leaf[-1])
+    for s in jobs:
+        end = s + ext[s]
+        spill = 0  # 1 when the last call of a slice also explores the next position
+        for lo in range(s, end, DRAW_BLOCK):
+            size = min(DRAW_BLOCK, end - lo)
+            leaf = degrees[lo:lo + size] == 0
+            mark = np.empty(size, dtype=np.int32)  # the latest index after a leaf
+            mark[0] = spill  # or the parity carried over
+            np.multiply(step[1:size], leaf[:-1], out=mark[1:])
+            np.maximum.accumulate(mark, out=mark)
+            keep = (mark ^ step[:size]) & 1 == 0
+            pieces.append(np.compress(keep, step[:size]) + lo)
+            spill = int(keep[-1] and not leaf[-1])
     return np.concatenate(pieces)
 
 
@@ -178,18 +173,17 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     [s, s + min(b, ext[s])), and these blocks tile every interval, so the
     starts are the orbits of the jobs under s -> s + min(b, ext[s]), chased
     in position order.  Every start but the jobs is a pushed root, and every
-    node of the jobs' subtrees but the jobs is generated once.  A call with
-    ext[s] > b returns k = Q[s+b] - Q[s] + 1 roots (s + b, then one per
-    level its walk climbs back down).
+    node of the jobs' subtrees but the jobs is generated once.  The call at
+    s returns k = Q[s + min(b, ext[s])] - Q[s] + 1 roots: with ext[s] > b,
+    s + b and then one per level its walk climbs back down; a whole
+    subtree lowers Q by exactly 1, so k = 0.
     At b = 2 the call at s explores s, and s + 1 too unless s is a leaf.
-    Read the jobs' intervals in order as one sequence: a leaf ends a block
-    whether or not it starts one, so the position after a leaf starts a
-    call, and each call at an internal node covers the next position, so
-    starts alternate along a run of internal nodes.  A position starts a
-    call exactly when its distance to the latest position after a leaf is
-    even.  A job's first position follows the last node of the interval
-    before it, a leaf, so the rule holds across jobs with no case of its
-    own; _parity_starts evaluates it in numpy.
+    Within a job's interval a leaf ends a block whether or not it starts
+    one, so the position after a leaf starts a call, and each call at an
+    internal node covers the next position, so starts alternate along a run
+    of internal nodes.  A position starts a call exactly when its distance
+    to the job or to the latest position after a leaf, whichever is later,
+    is even; _parity_starts evaluates that in numpy.
     A LIFO stack ascends, so it pops by subtree end, latest first.  A FIFO
     queue holds at most two generations, each ascending, and the later one
     is exactly the jobs that lie before the head; it pops by generation:
@@ -217,12 +211,8 @@ def _tiled_run(tree: PreorderTree, budget: int, jobs, policy: str):
     restarts = starts.size - len(jobs)
     evaluations = sum(ext[s] for s in jobs) - len(jobs)
     ends = tree.extent[starts]  # the extents, until the starts are added
-    cut = ends > b
-    at = starts[cut]
     q = tree.q_path()
-    roots = np.zeros_like(starts)
-    roots[cut] = q[at + b] - q[at] + 1
-    del cut, at
+    roots = q[np.minimum(ends, b) + starts] - q[starts] + 1
     ends += starts
     if policy == "fifo":  # job subtrees enclosing the start, plus the offset
         keys = np.arange(starts.size, dtype=np.int32)
@@ -419,18 +409,12 @@ def simulate_parallel(tree: PreorderTree, budget: int, workers: int,
             # alone at its time, with no lane idle, the lane takes the next job anyway
             push(lane_roots[w])
             enter = heapreplace
-        s = pop()  # the call at s, as _call_extent computes it
+        s = pop()
         m = ext[s]
-        if m <= budget:
+        if m <= budget:  # the whole subtree, inline: most jobs
             generated, roots = m - 1, ()
         else:
-            end = s + m
-            r = s + budget
-            roots = []
-            while r < end:
-                roots.append(r)
-                r += ext[r]
-            generated = budget - 1 + len(roots)
+            generated, roots = _call_extent(ext, s, budget)
             restarts += len(roots)
         started += 1
         evaluations += generated

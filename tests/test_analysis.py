@@ -289,3 +289,12 @@ def test_theorem1_check_dispatch(monkeypatch):
     monkeypatch.setattr(analysis, "_progeny_series", no_series)
     with pytest.raises(ValueError, match="above the convolution limit"):
         theorem1_check(1000, 10 ** 6, CATALAN, DP_LIMIT + 1)
+
+
+def test_dp_limit_names_the_budget():
+    # mu_exact's callers pass a budget; the message names that, not t_max
+    for call in (lambda: mu_exact(CATALAN, 5_000_000),
+                 lambda: theorem1_check(5, 25, CATALAN, 5_000_000)):
+        with pytest.raises(ValueError, match=r"^budget 5000000 above the convolution "
+                                             f"limit {DP_LIMIT}; use mu_analytic or mu_mc"):
+            call()

@@ -55,7 +55,10 @@ def test_dist_output(capsys):
 
 def test_dist_rejects_non_critical(capsys):
     assert run_cli("dist", "--dist", "custom:0.5,0.5") == 1
-    assert "not critical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a keyword argument is no remedy a CLI user can apply
+    assert "not critical; spec strings name critical laws only" in err
+    assert "assert_critical" not in err
     assert run_cli("dist", "--dist", "binomial:100000") == 1
     assert "too large for float coefficients" in capsys.readouterr().err
     assert run_cli("dist", "--dist", "harmonic:1000001") == 1
@@ -89,6 +92,16 @@ def test_gen_size_flags_are_exclusive(tmp_path, capsys):
     assert run_cli("gen", "--dist", "catalan", "--n", "5",
                    "--n-min", "5", "--out", out) == 1
     assert "exactly one of" in capsys.readouterr().err
+
+
+def test_gen_refuses_cap_with_exact_size(tmp_path, capsys):
+    # --cap bounds sample_at_least's attempts; sample_exact has none to bound
+    out = tmp_path / "t.tree"
+    assert run_cli("gen", "--dist", "catalan", "--n", "25", "--cap", "3",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "--cap bounds --n-min attempts only" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_gen_parity_error(tmp_path, capsys):

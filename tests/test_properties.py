@@ -102,10 +102,39 @@ def test_restarts_policy_invariant(degrees, budget):
 def test_call_extent_matches_bdfs(degrees, budget):
     # max(..., 1): bdfs probes at least j = 1, which a lone leaf answers None
     tree = PreorderTree(degrees)
+    ext, q = memoryview(tree.extent), tree.q_path()
     for s in range(tree.n):
         out = bdfs(tree.adj, s, max(tree.max_degree, 1), budget)
-        generated, unexplored = _call_extent(memoryview(tree.extent), s, budget)
+        generated, unexplored = _call_extent(ext, s, budget)
         assert (generated, list(unexplored)) == (out.generated, out.unexplored())
+        # _tiled_run's root count, which needs no case for a whole subtree
+        assert q[s + min(budget, ext[s])] - q[s] + 1 == len(unexplored)
+
+
+@given(degrees=bushy_trees, picks=st.lists(st.integers(0, 200), max_size=12),
+       block=st.integers(3, 9))
+@settings(max_examples=100, deadline=None)
+def test_parity_starts_match_the_chase(degrees, picks, block):
+    # slices of 3-9 positions: every slice boundary, with either carry, falls
+    # inside jobs as well as at their ends
+    tree = PreorderTree(degrees)
+    ext = memoryview(tree.extent)
+    jobs, end = [], 0
+    for s in sorted({p % tree.n for p in picks}) or [0]:
+        if s >= end:  # outside the jobs so far: the intervals stay disjoint
+            jobs.append(s)
+            end = s + ext[s]
+    chased = []
+    for s in jobs:
+        end = s + ext[s]
+        while s < end:
+            chased.append(s)
+            s += 2 if ext[s] > 2 else ext[s]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "DRAW_BLOCK", block)
+        starts = scheduler._parity_starts(tree, jobs)
+    assert starts.dtype == np.int32
+    assert starts.tolist() == chased
 
 
 @pytest.mark.parametrize("spec", ["ternary_uniform", "harmonic:10", "catalan"])
@@ -132,7 +161,7 @@ def test_budget_2_tiling_across_draw_blocks(tree70k):
 
 
 def test_budget_2_tiling_of_many_jobs(tree70k, monkeypatch):
-    # the jobs' intervals are read as one sequence: a slice spans several
+    # a budget-2 tile of many jobs, each read off the parity rule in turn
     tree = tree70k
     handed = []
 
