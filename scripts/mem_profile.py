@@ -10,8 +10,9 @@ which sees numpy's array buffers as well as Python objects, after one
 untraced small sampling call has loaded what numpy imports lazily:
 
 * ``sample_at_least`` (the accepted tree's size is the base of every
-  per-node row), ``PreorderTree`` rebuilt from that tree's degrees,
-  ``extent``, ``write_tree`` and ``read_tree``;
+  per-node row below it), ``sample_exact`` at the first size >= n that the
+  law reaches (per node of that tree), ``PreorderTree`` rebuilt from the
+  first tree's degrees, ``extent``, ``write_tree`` and ``read_tree``;
 * ``run_single(tree, 2)`` under each pop policy, and
   ``run_adaptive(tree, 500, n, inf, 2)``, which halves its budget at every
   check and runs at b = 2 from its ninth call on, per call: at b = 2 a run
@@ -100,6 +101,11 @@ def main(argv=None) -> int:
         lambda: gwtree.sample_at_least(dist, args.n, seed=args.seed))
     n = tree.n
     rows.append(("sample_at_least", peak, kept, n, "node"))
+    n_exact = args.n + -(args.n - 1) % dist.span  # sizes are 1 mod the span
+    (exact, _), peak, kept = traced(
+        lambda: gwtree.sample_exact(dist, n_exact, seed=args.seed))
+    rows.append(("sample_exact", peak, kept, exact.n, "node"))
+    del exact
     _, peak, kept = traced(lambda: gwtree.PreorderTree(tree.degrees))
     rows.append(("PreorderTree", peak, kept, n, "node"))
     _, peak, kept = traced(lambda: tree.extent)

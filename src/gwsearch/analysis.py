@@ -283,12 +283,15 @@ def _min_size_batch(dist, budget, m, rng):
     tree reads the same uniforms at every step as one draw of all the live
     trees would give it (such a draw is made of the same slices in order).
     A tree that closes at step t <= b adds t, and every tree still open
-    after step b adds b.  So the batch holds its sums (4 bytes a tree) and
-    one slice of temporaries: a peak of 5.6 bytes per sample at 10^6
-    samples (tracemalloc).  The sums stay below 1 + budget * max_degree,
-    which int32 holds unless budget * max_degree reaches 2^31.
+    after step b adds b.  So the batch holds its sums (2 bytes a tree for
+    most laws and budgets) and one slice of temporaries: a peak of 2.7
+    bytes per sample at 10^6 samples (tracemalloc).  The sums stay below
+    1 + budget * max_degree, so they are int16 while
+    budget * (max_degree + 1) < 2^15, then int32 below 2^31 and int64 past
+    it; the draws, no wider, add in place.
     """
-    sum_type = np.int32 if budget * len(dist.pmf) < 2 ** 31 else np.int64
+    bound = budget * len(dist.pmf)
+    sum_type = np.int16 if bound < 2**15 else np.int32 if bound < 2**31 else np.int64
     sums = np.ones(m, dtype=sum_type)
     mask = np.empty(min(m, DRAW_BLOCK), dtype=bool)
     total = total_sq = 0

@@ -13,18 +13,21 @@ Q(0..n) and, once read, the extents, each int32 and read-only (12 bytes per
 node).  So a tree has at most MAX_NODES = 2^31 - 1 nodes: a longer sequence
 is rejected before Q is built, and a larger size or cap before any draw.
 
-Every layer works in int32 and in DRAW_BLOCK-sized slices, so its temporary
-arrays stay near what it keeps.  Peak bytes per node above what was held
-before the call (tracemalloc; ternary_uniform and harmonic:10 trees of
-1.3-1.6 * 10^6 nodes), with what the layer keeps:
+Every layer works in int32 and in DRAW_BLOCK-sized slices, and the samplers
+keep their draws in the draws' dtype (one byte a draw for most laws) until
+the accepted tree is built, so temporary arrays stay near what a layer
+keeps.  Peak bytes per node above what was held before the call
+(tracemalloc; ternary_uniform and harmonic:10 trees of 1.3-1.6 * 10^6
+nodes, sample_exact at n = 10^6), with what the layer keeps:
 
-  * sample_at_least  12.6 / 12.6, keeps 8 (the degrees and Q)
+  * sample_at_least   9.3 / 9.3, keeps 8 (the degrees and Q)
+  * sample_exact     10.0 / 10.0, keeps 8
   * PreorderTree      4.0 from int32 degrees, keeps 4 (Q)
   * extent            7.8 / 10.4, keeps 4 (the extents)
   * write_tree        0.5 / 1.1, keeps nothing
   * read_tree        16.0 / 16.0, keeps 8
 
-Below about 10^6 nodes the DRAW_BLOCK buffers, 1-2.5 MB in all, add to
+Below about 10^6 nodes the DRAW_BLOCK buffers, 0.7-2.5 MB in all, add to
 these.
 
 Three samplers:
@@ -200,7 +203,10 @@ def _grow(draw, cap: int):
     serves in one block, without a copy), capped at the nodes left before
     cap, and stops the moment the open-branch count returns to zero.  The
     draw sequence, hence the tree, depends only on the generator, not on
-    chunk boundaries; the generator moves on by whole chunks.
+    chunk boundaries; the generator moves on by whole chunks.  Each chunk's
+    walk is summed from zero, in int32 for int8 and int16 draws, and the
+    tree closes where it first reaches -pending.  The chunks keep the
+    draws' dtype.
     """
     chunks = []
     pending = 1
@@ -209,17 +215,25 @@ def _grow(draw, cap: int):
     while total < cap:
         m = min(size, cap - total)
         draws = draw(m)
-        walk = pending + np.cumsum(draws - 1)
-        hit = np.flatnonzero(walk == 0)
-        if hit.size:
-            chunks.append(draws[:hit[0] + 1].astype(np.int32))
-            return chunks
-        chunks.append(draws.astype(np.int32))  # draws < len(dist.pmf): no wrap
+        walk = np.subtract(draws, 1, dtype=_walk_type(draws))
+        np.cumsum(walk, out=walk)
+        if pending <= m:  # the walk falls by at most 1 a node
+            hit = np.flatnonzero(walk == -pending)
+            if hit.size:
+                chunks.append(draws[:hit[0] + 1].copy())
+                return chunks
+        chunks.append(draws.copy())
         total += m
-        pending = int(walk[-1])
+        pending += int(walk[-1])
         size = min(size * 2, DRAW_BLOCK)
         del draws, walk  # a view of a read-ahead block would pin it over the next draw
     return Overflow(count=total, pending=pending)
+
+
+def _walk_type(draws):
+    """A dtype for sums of up to DRAW_BLOCK of these draws: int32 holds
+    2^16 int16 values, int64 anything wider."""
+    return np.int32 if draws.itemsize <= 2 else np.int64
 
 
 def _tree(chunks) -> PreorderTree:
@@ -244,16 +258,17 @@ class _ReadAhead:
 
     take(m) returns the next m draws, equal to what dist.draw(rng, m) would
     return there.  Blocks start at 512 draws and double up to DRAW_BLOCK,
-    so a short search reads little ahead.  skip_small settles, within the
-    current block, the attempts that close too small inside their first
-    chunk.  close() puts the generator where the draws taken so far would
-    have left it, so a caller's Generator ends where chunked draws end.
+    so a short search reads little ahead; they hold the draws' dtype, one
+    byte a draw for most laws.  skip_small settles, within the current
+    block, the attempts that close too small inside their first chunk.
+    close() puts the generator where the draws taken so far would have left
+    it, so a caller's Generator ends where chunked draws end.
     """
 
     def __init__(self, dist: OffspringDistribution, rng: np.random.Generator):
         self.dist = dist
         self.rng = rng
-        self.block = np.empty(0, dtype=np.intp)
+        self.block = dist.draw(rng, 0)  # empty; refuses a generator draw cannot serve
         self.pos = 0  # draws of the block taken so far
         self.size = 512
         self.state = None  # the generator's state before the block
@@ -293,7 +308,7 @@ class _ReadAhead:
             return 0
         if self.grid < 0 or (self.pos - self.grid) % first:
             chunks = self.block[self.pos:self.pos + rows * first].reshape(rows, first)
-            walk = chunks[:, :small].cumsum(axis=1)
+            walk = chunks[:, :small].cumsum(axis=1, dtype=_walk_type(chunks))
             walk -= np.arange(small)  # open branches after each node
             # down-steps are unit, so a walk that closes passes through 0
             self.grid = self.pos
@@ -308,7 +323,7 @@ class _ReadAhead:
     def close(self) -> None:
         if self.pos < self.block.size:
             self.rng.bit_generator.state = self.state
-            self.rng.random(self.pos)
+            self.rng.bit_generator.random_raw(self.pos)
 
 
 def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
@@ -356,8 +371,11 @@ def sample_at_least(dist: OffspringDistribution, n_min: int, seed=None,
 
 
 def _rotation(draws) -> int:
-    """Start of the one valid rotation of draws that sum to len(draws) - 1."""
-    return int(np.argmin(np.cumsum(draws - 1)) + 1) % len(draws)
+    """Start of the one valid rotation of draws that sum to len(draws) - 1.
+
+    Their prefix sums lie in [0, n - 1], so the walk fits int32.
+    """
+    return int(np.argmin(np.cumsum(draws - 1, dtype=np.int32)) + 1) % len(draws)
 
 
 def sample_exact(dist: OffspringDistribution, n: int, seed=None,
@@ -369,6 +387,9 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
     xi_i - 1 (_rotation).  That rotation is the unique one whose walk stays
     positive before step n (cycle lemma), and it maps i.i.d. draws to exactly
     the conditional Galton-Watson law.  Expected rejections grow like sqrt(n)/d.
+    The attempts read their draws ahead (_ReadAhead), so trees, attempt
+    counts and the generator's final position equal those of one dist.draw
+    of n per attempt.
     """
     n = _check_size("n", n)
     if (n - 1) % dist.span != 0:
@@ -376,18 +397,21 @@ def sample_exact(dist: OffspringDistribution, n: int, seed=None,
             f"no trees with {n} nodes: sizes are 1 mod {dist.span} for this law")
     if max_attempts is not None:
         max_attempts = require_count("max_attempts", max_attempts)
-    rng = generator(seed)
+    reader = _ReadAhead(dist, generator(seed))
     target = n - 1
     attempts = 0
-    while True:
-        attempts += 1
-        draws = dist.draw(rng, n)
-        if int(draws.sum()) == target:
-            k = _rotation(draws)
-            rotated = np.concatenate((draws[k:], draws[:k]), dtype=np.int32)
-            return PreorderTree(rotated), attempts
-        if max_attempts is not None and attempts >= max_attempts:
-            raise AttemptsExhausted(attempts, f"degree sum {target} over {n} draws")
+    try:
+        while True:
+            attempts += 1
+            draws = reader.take(n)
+            if int(draws.sum()) == target:
+                k = _rotation(draws)
+                rotated = np.concatenate((draws[k:], draws[:k]), dtype=np.int32)
+                return PreorderTree(rotated), attempts
+            if max_attempts is not None and attempts >= max_attempts:
+                raise AttemptsExhausted(attempts, f"degree sum {target} over {n} draws")
+    finally:
+        reader.close()
 
 
 def write_tree(tree: PreorderTree, path) -> None:

@@ -47,11 +47,32 @@ _CRIT_TOL_CUSTOM = 1e-9
 # seconds and 650 MB and then fails the criticality test.
 HARMONIC_MAX_DEGREE = 10**6
 
-# Offspring draws: buckets of the guide table (a power of two, so scaling a
-# uniform or the cdf by it is exact) and uniforms drawn per block.  gwtree
-# and mu_mc also work through their per-node arrays DRAW_BLOCK at a time.
+# Offspring draws: buckets of the guide table (a power of two, read off the
+# top bits of a 64-bit output) and outputs inverted per block.  A block's
+# outputs and buckets take 16 bytes a draw, 512 KB in all here; at 2^16 draws
+# glibc handed their pages back after each of sample_exact's draw calls, and
+# they faulted in again (about 180 minor faults a call, half its time).
+# gwtree and mu_mc work through their per-node arrays DRAW_BLOCK at a time.
 GUIDE_SIZE = 1 << 12
+RAW_BLOCK = 1 << 15
 DRAW_BLOCK = 1 << 16
+# An output x gives random() the double (x >> 11) * 2^-53, so its guide-table
+# bucket is x >> 52; numpy shift counts convert faster than Python ints.
+_MANTISSA_SHIFT = np.uint64(11)
+_BUCKET_SHIFT = np.uint64(64 - 12)
+
+# numpy's bit generators whose raw outputs make random()'s doubles one for one
+# as above, by class name (naming the classes would import numpy.random with
+# gwsearch); MT19937's raw outputs are 32-bit words.
+RAW_DOUBLES = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+
+
+def _draw_dtype(max_degree: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds max_degree."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if max_degree <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -81,49 +102,58 @@ class OffspringDistribution:
         return c
 
     @cached_property
-    def _guide(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cdf * GUIDE_SIZE, guide table) for draw.
+    def _guide(self) -> np.ndarray:
+        """The guide table for draw, read-only, in the draws' dtype.
 
-        Entry j of the table is the number of scaled cdf entries <= j, which
-        is the draw for every u * GUIDE_SIZE in [j, j + 1) unless a scaled
-        entry lies strictly inside that bucket; such buckets hold -1.
+        Entry j is the number of cdf entries <= j / GUIDE_SIZE, which is the
+        draw for every uniform in [j, j + 1) / GUIDE_SIZE unless a cdf entry
+        lies strictly inside that bucket; such buckets hold -1.
         """
         scaled = self.cdf * GUIDE_SIZE  # a power of two: exact
         edges = np.arange(GUIDE_SIZE + 1, dtype=float)
         at_or_below = np.searchsorted(scaled, edges, side="right")
         table = at_or_below[:-1]
         table[np.searchsorted(scaled, edges[1:], side="left") != table] = -1
-        scaled.flags.writeable = False
+        table = table.astype(_draw_dtype(self.max_degree))
         table.flags.writeable = False
-        return scaled, table
+        return table
 
     def draw(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m i.i.d. offspring counts by inversion of m uniforms from rng.
 
         Equal, value for value, to
         ``np.searchsorted(self.cdf, rng.random(m), side="right")`` and
-        consumes the same m doubles, so every seed gives the same draws.  A
-        guide table (Chen and Asau 1974) answers each uniform with one
-        lookup; only uniforms in a bucket that holds a cdf breakpoint, about
-        max_degree / GUIDE_SIZE of them, are searched.
+        consumes the same m 64-bit outputs of rng's bit generator, so every
+        seed gives the same draws.  The draws' dtype is the narrowest signed
+        integer dtype that holds max_degree: int8 for most laws.
+        numpy makes the double of an output x as (x >> 11) * 2^-53, so its
+        bucket in the guide table (Chen and Asau 1974) is x >> 52: one shift
+        and one lookup answer each draw, and only the outputs in a bucket
+        that holds a cdf breakpoint, about max_degree / GUIDE_SIZE of them,
+        are made into their doubles and searched.  The bit generator must
+        be one of RAW_DOUBLES; any other is refused.
         """
-        if m <= DRAW_BLOCK:  # the common small call: one block, no copy
-            return self._invert(rng.random(m))
-        out = np.empty(m, dtype=np.intp)
-        for start in range(0, m, DRAW_BLOCK):
-            block = self._invert(rng.random(min(DRAW_BLOCK, m - start)))
-            out[start:start + block.size] = block
+        bits = rng.bit_generator
+        if type(bits).__name__ not in RAW_DOUBLES:
+            raise ValueError(
+                f"draw needs a Generator over {', '.join(RAW_DOUBLES)}, not "
+                f"{type(bits).__name__}, whose raw outputs are not random()'s 64 bits")
+        if m <= RAW_BLOCK:  # the common small call: one block, no copy
+            return self._invert(bits.random_raw(m))
+        out = np.empty(m, dtype=self._guide.dtype)
+        for lo in range(0, m, RAW_BLOCK):
+            self._invert(bits.random_raw(min(RAW_BLOCK, m - lo)), out[lo:lo + RAW_BLOCK])
         return out
 
-    def _invert(self, u: np.ndarray) -> np.ndarray:
-        """Draws for the uniforms u, which are scaled in place."""
-        scaled, table = self._guide
-        u *= GUIDE_SIZE  # exact, and < GUIDE_SIZE since u < 1
-        out = table[u.astype(np.intp)]
+    def _invert(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The draws for the 64-bit outputs raw, written to out if given."""
+        bucket = raw >> _BUCKET_SHIFT
+        out = self._guide.take(bucket.view(np.intp), out=out)
         # argmin: a far cheaper call than min() on the many short draws
-        if u.size and out[out.argmin()] < 0:  # some u fell in breakpoint buckets
+        if raw.size and out[out.argmin()] < 0:  # some fell in breakpoint buckets
             redo = np.flatnonzero(out < 0)
-            out[redo] = np.searchsorted(scaled, u[redo], side="right")
+            u = raw[redo] >> _MANTISSA_SHIFT
+            out[redo] = np.searchsorted(self.cdf, u * 2.0**-53, side="right")
         return out
 
     @property

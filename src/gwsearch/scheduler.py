@@ -143,14 +143,23 @@ def _parity_starts(tree: PreorderTree, jobs):
     """The starts of a budget-2 run from ascending jobs, as an int32 array.
 
     The parity rule of _tiled_run over each job's interval, DRAW_BLOCK
-    positions at a time: no temporary holds a position for every node.
+    positions at a time: no temporary holds a position for every node.  A
+    one-node job starts only itself and needs no numpy call; such jobs
+    collect in a list until the next longer job.
     """
     ext = memoryview(tree.extent)
     step = np.arange(DRAW_BLOCK, dtype=np.int32)
     degrees = tree.degrees
     pieces = []
+    leaves = []  # one-node jobs since the last piece
     for s in jobs:
         end = s + ext[s]
+        if end == s + 1:
+            leaves.append(s)
+            continue
+        if leaves:
+            pieces.append(np.array(leaves, dtype=np.int32))
+            leaves = []
         spill = 0  # 1 when the last call of a slice also explores the next position
         for lo in range(s, end, DRAW_BLOCK):
             size = min(DRAW_BLOCK, end - lo)
@@ -162,6 +171,7 @@ def _parity_starts(tree: PreorderTree, jobs):
             keep = (mark ^ step[:size]) & 1 == 0
             pieces.append(np.compress(keep, step[:size]) + lo)
             spill = int(keep[-1] and not leaf[-1])
+    pieces.append(np.array(leaves, dtype=np.int32))
     return np.concatenate(pieces)
 
 

@@ -1,4 +1,5 @@
-"""The guide-table offspring draw: exact inversion, and frozen sampler outputs."""
+"""The guide-table offspring draw: exact inversion, the bit generators it
+serves, and frozen sampler outputs."""
 
 import hashlib
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwsearch import analysis, gwtree, offspring
-from gwsearch.offspring import DRAW_BLOCK, GUIDE_SIZE
+from gwsearch.offspring import DRAW_BLOCK, GUIDE_SIZE, RAW_BLOCK
 
 
 def reference(dist, rng, m):
@@ -15,10 +16,16 @@ def reference(dist, rng, m):
     return np.searchsorted(dist.cdf, rng.random(m), side="right")
 
 
+def narrowest(max_degree):
+    """The narrowest signed integer dtype that holds max_degree."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= max_degree)
+
+
 def assert_draw_exact(dist, seed, m):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     got, want = dist.draw(ours, m), reference(dist, theirs, m)
-    assert got.dtype == want.dtype == np.intp
+    assert got.dtype == narrowest(dist.max_degree)
     assert np.array_equal(got, want)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -72,31 +79,88 @@ def test_draw_custom_laws(pmf):
         assert_draw_exact(dist, 7, m)
 
 
-class FixedUniforms:
-    """A stand-in generator whose random(m) hands out the given values."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        self.used = 0
-
-    def random(self, m):
-        out = self.values[self.used:self.used + m].copy()
-        self.used += m
-        return out
-
-
 @pytest.mark.parametrize("spec", BUILTINS + ["custom:" + ",".join(map(str, DYADIC))])
 def test_draw_at_breakpoints_and_bucket_edges(spec):
     # DYADIC is not critical, so only make_custom builds it
     dist = (offspring.make_custom(DYADIC, assert_critical=False)
             if spec.startswith("custom:") else offspring.parse_spec(spec))
-    points = np.concatenate([dist.cdf, np.arange(GUIDE_SIZE) / GUIDE_SIZE])
-    u = np.concatenate([points, np.nextafter(points, 0), np.nextafter(points, 1)])
-    u = u[(u >= 0) & (u < 1)]  # the range of Generator.random
-    fixed = FixedUniforms(u)
-    got = dist.draw(fixed, u.size)
-    assert fixed.used == u.size
+    # the doubles k * 2^-53 next to every breakpoint and bucket edge c, made
+    # from raw outputs with every low bit 0 and with every low bit 1
+    edges = np.concatenate([dist.cdf, np.arange(GUIDE_SIZE) / GUIDE_SIZE])
+    k = np.ceil(edges * 2.0**53).astype(np.int64)
+    k = np.concatenate([k - 1, k, k + 1])
+    k = np.unique(k[(k >= 0) & (k < 2**53)]).astype(np.uint64)
+    raw = np.concatenate([k << np.uint64(11), (k << np.uint64(11)) | np.uint64(0x7FF)])
+    u = (raw >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(u, np.concatenate([k, k]) * 2.0**-53)
+    got = dist._invert(raw)
+    assert got.dtype == narrowest(dist.max_degree)
     assert np.array_equal(got, np.searchsorted(dist.cdf, u, side="right"))
+
+
+# numpy's bit generators: the first four make each double of random() from
+# one 64-bit raw output; MT19937's raw outputs are 32-bit words
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937"]
+
+
+def generators(name, seed):
+    """Two Generators over fresh, equal bit generators of the named class."""
+    return tuple(np.random.Generator(getattr(np.random, name)(seed)) for _ in range(2))
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS[:4])
+def test_random_doubles_are_raw_outputs_shifted(name):
+    # numpy's double formula, which draw reads the buckets off
+    ours, theirs = generators(name, 3)
+    raw = ours.bit_generator.random_raw(1000)
+    assert np.array_equal((raw >> np.uint64(11)) * 2.0**-53, theirs.random(1000))
+    # Philox and SFC64 keep arrays in their states
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_bit_generators_draw_or_are_refused(name):
+    dist = offspring.parse_spec("harmonic:10")
+    ours, theirs = generators(name, 5)
+    if name == "MT19937":
+        for call in (lambda: dist.draw(ours, 10),
+                     lambda: gwtree.sample_at_least(dist, 50, seed=ours),
+                     lambda: gwtree.sample_exact(dist, 51, seed=ours),
+                     lambda: analysis.mu_mc(dist, 20, 100, seed=ours)):
+            with pytest.raises(ValueError, match="MT19937"):
+                call()
+        return
+    assert np.array_equal(dist.draw(ours, RAW_BLOCK + 3),
+                          reference(dist, theirs, RAW_BLOCK + 3))
+    # sample_at_least: attempt by attempt from the reference draw
+    tree, attempts = gwtree.sample_at_least(dist, 300, seed=ours, cap=3000)
+    want_attempts = 0
+    while True:
+        want_attempts += 1
+        want = gwtree._grow(lambda m: reference(dist, theirs, m), 3000)
+        if not isinstance(want, gwtree.Overflow) and sum(map(len, want)) >= 300:
+            break
+    assert attempts == want_attempts
+    assert np.array_equal(tree.degrees, np.concatenate(want))
+    # sample_exact: one reference draw of n per attempt, then the rotation
+    tree, attempts = gwtree.sample_exact(dist, 501, seed=ours)
+    want_attempts = 1
+    while (draws := reference(dist, theirs, 501)).sum() != 500:
+        want_attempts += 1
+    assert attempts == want_attempts
+    k = gwtree._rotation(draws)
+    assert np.array_equal(tree.degrees, np.concatenate((draws[k:], draws[:k])))
+    # mu_mc: trees grown side by side, the live ones drawing in order
+    sizes = np.full(2000, 30)
+    pending = np.ones(2000, dtype=np.int64)
+    live = np.arange(2000)
+    for t in range(1, 31):
+        pending[live] += reference(dist, theirs, live.size) - 1
+        closed = pending[live] == 0
+        sizes[live[closed]] = t
+        live = live[~closed]
+    assert analysis.mu_mc(dist, 30, 2000, seed=ours).value == sizes.sum() / 2000
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
 def test_guide_table_is_lazy():

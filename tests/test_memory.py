@@ -6,14 +6,15 @@ hold in full plus room for its DRAW_BLOCK-sized buffers (1-2.5 MB, so 5-12
 bytes a node at the 2.2*10^5-node trees here, and 1-2.5 a sample at 10^6
 samples):
 
-* sample_at_least: the int32 chunks of the accepted tree, their
-  concatenation and Q, 12 bytes a node; bound 24.
+* sample_at_least: the chunks of the accepted tree in the draws' dtype
+  (one byte a node for these laws), their int32 concatenation and Q, 9
+  bytes a node; bound 24.
 * extent: the int64 leaf keys (8 bytes a leaf; 2.7 and 5.7 bytes a node
   for these laws) and the int32 extents; bound 18.
 * write_tree: nothing in full; bound 8.
 * read_tree: the text (about 2 bytes a node), its word mask, the int32
   word starts and ends, then the int32 degrees and Q; bound 28.
-* mu_mc: its int32 sums, 4 bytes a sample; bound 10.
+* mu_mc: its int16 sums, 2 bytes a sample; bound 10.
 * run_single and run_adaptive at b = 2 (about 0.6 calls a node): the int32
   starts, ends and roots, the int32 sort keys (FIFO's generations take
   their searchsorted one DRAW_BLOCK slice at a time), an int64 pop order,
@@ -24,9 +25,10 @@ samples):
 The seeds are those in 0..3 whose trees come nearest 2*10^5 nodes.
 
 On a small tree the DRAW_BLOCK buffers are most of the peak.  sample_at_least
-must release each read-ahead block before it draws the next: a
-26,554-node tree then peaks at about 1.6 MB, against 2.1 MB when the
-old block is held over the draw; bound 1.75 MB.
+must release each read-ahead block before it draws the next: with 8-byte
+draws a 26,554-node tree then peaked at about 1.6 MB, against 2.1 MB when
+the old block was held over the draw; bound 1.75 MB.  Its blocks now take
+one byte a draw, and the tree peaks at about 0.7 MB.
 """
 
 import math

@@ -181,6 +181,24 @@ def test_budget_2_tiling_of_many_jobs(tree70k, monkeypatch):
         assert budget == 2 and jobs > 20
 
 
+def test_budget_2_tiling_of_one_node_jobs(monkeypatch):
+    # the star's root call leaves 10,001 leaves; the budget reaches 2 with
+    # about 10^4 of them queued, each a one-node job of the b = 2 tile
+    star = PreorderTree([50_000] + [0] * 50_000)
+    handed = []
+
+    def spy(tree, budget, jobs, policy):
+        handed.append((budget, len(jobs)))
+        return tiled_run(tree, budget, jobs, policy)
+
+    tiled_run = scheduler._tiled_run
+    monkeypatch.setattr(scheduler, "_tiled_run", spy)
+    args = (star, 60_000, star.n, math.inf, 1.5, "lifo")
+    assert run_adaptive(*args) == reference_loop(*args)
+    [(budget, jobs)] = handed
+    assert budget == 2 and jobs > 9_000
+
+
 @given(degrees=bushy_trees, budget=st.integers(1, 40),
        low_mark=st.integers(2, 12) | st.floats(2, 12),
        scale_factor=st.sampled_from([1.5, 2, 3]) | st.floats(1.01, 8),
